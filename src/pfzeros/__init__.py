@@ -32,7 +32,6 @@ from .evaluators import (
     DosLeeYangEvaluator,
     KickedCalibration,
     KickedProbabilityEvaluator,
-    ScaledZEvaluator,
     TransferFisherEvaluator,
     calibrate_kicked_relation,
 )

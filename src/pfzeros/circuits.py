@@ -147,11 +147,10 @@ def gadget_params_field(h_real: float) -> GadgetParams:
     """lambda = arccos(e^{-2|H^R|})/2, mu = +sgn(H^R) * lambda.
 
     mu of this sign makes the projected gadget equal e^{-H^R s} exactly; the
-    opposite sign would realize e^{+H^R s}.
+    opposite sign would realize e^{+H^R s}.  The angles are those of a
+    coupling gadget of strength H^R.
     """
-    h_real = float(h_real)
-    lam = math.acos(math.exp(-2.0 * abs(h_real))) / 2.0
-    return GadgetParams(lam, math.copysign(lam, h_real) if h_real else 0.0, abs(h_real))
+    return gadget_params_coupling(h_real)
 
 
 class _Builder:

@@ -33,7 +33,7 @@ from .evaluators import (
 )
 from .model import IsingModel, build_chain, build_cylinder, from_edge_list, model_from_json
 from .noise import detectability, noisy_scan
-from .oracle import brute_force_Z, correlation, density_of_states
+from .oracle import DensityOfStates, brute_force_Z, correlation, density_of_states
 from .statevector import run_effective, run_full, run_streamed
 from .zeros import (
     GridSpec,
@@ -223,6 +223,14 @@ def _rebuild_with(model: IsingModel, coupling: complex, field_value: complex) ->
     return from_edge_list(model.n_spins, bonds, fields, model.lattice_info() or None)
 
 
+def _oracle_evaluator(cfg: RunConfig, dos: DensityOfStates):
+    plane = cfg.resolved_plane()
+    if _is_fisher(plane):
+        fisher_plane = "tanh_k" if plane == "tanhK" else plane
+        return DosFisherEvaluator(dos, complex(*cfg.fixed_h), fisher_plane)
+    return DosLeeYangEvaluator(dos, complex(*cfg.fixed_k), plane)
+
+
 def make_evaluator(cfg: RunConfig, model: IsingModel):
     plane = cfg.resolved_plane()
     fixed_k = complex(*cfg.fixed_k)
@@ -233,10 +241,7 @@ def make_evaluator(cfg: RunConfig, model: IsingModel):
             raise ValueError("the kick-field plane needs a cylinder model")
         return KickedFieldPlaneEvaluator(dims[0], dims[1], fixed_k)
     if cfg.backend == "oracle":
-        dos = density_of_states(model)
-        if _is_fisher(plane):
-            return DosFisherEvaluator(dos, fixed_h, "tanh_k" if plane == "tanhK" else plane)
-        return DosLeeYangEvaluator(dos, fixed_k, plane)
+        return _oracle_evaluator(cfg, density_of_states(model))
     if cfg.backend == "kicked":
         dims = _model_dims(model)
         if dims is None or plane != "K":
@@ -346,21 +351,22 @@ def cmd_scan(cfg: RunConfig) -> int:
 
 
 def cmd_zeros(cfg: RunConfig) -> int:
-    model = parse_model(cfg.model, complex(*cfg.fixed_k), complex(*cfg.fixed_h))
     spec = cfg.grid_spec()
     plane = spec.plane_tag
-    evaluator = make_evaluator(cfg, model)
+    if plane == "kickH":
+        raise ValueError("zeros task does not support the kick-field plane; scan it instead")
+    model = parse_model(cfg.model, complex(*cfg.fixed_k), complex(*cfg.fixed_h))
+    dos = density_of_states(model)
+    oracle_ev = _oracle_evaluator(cfg, dos)
+    evaluator = oracle_ev if cfg.backend == "oracle" else make_evaluator(cfg, model)
     grid = scan(evaluator, spec, threads=resolve_threads(cfg.threads))
     write_grid_csv(cfg.out + ".csv", cfg, spec, grid.values)
     minima = find_minima(grid, rel_threshold=None)
 
-    dos = density_of_states(model)
     which = "fisher" if _is_fisher(plane) else "lee_yang"
     fixed = complex(*cfg.fixed_h) if which == "fisher" else complex(*cfg.fixed_k)
     roots = polynomial_roots(dos, which, fixed)
     roots_companion = polynomial_roots(dos, which, fixed, method="companion")
-    if plane == "kickH":
-        raise ValueError("zeros task does not support the kick-field plane; scan it instead")
     if plane in ("K", "H"):
         in_window = map_roots(roots, spec, plane)
     elif plane == "tanhK":
@@ -381,8 +387,6 @@ def cmd_zeros(cfg: RunConfig) -> int:
             key=lambda w: (w.real, w.imag),
         )
 
-    oracle_ev = DosFisherEvaluator(dos, fixed, "tanh_k" if plane == "tanhK" else plane) \
-        if which == "fisher" else DosLeeYangEvaluator(dos, fixed, plane)
     newton_eval = oracle_ev.newton_z()
     scale = max(spec.re_max - spec.re_min, spec.im_max - spec.im_min)
     refined, failures = [], []
@@ -577,12 +581,10 @@ def cmd_corr(cfg: RunConfig) -> int:
     except ValueError as exc:
         raise ValueError("sites must be 'i,m;k,n'") from exc
     setup = KickedSetup(dims[0], dims[1], complex(*cfg.fixed_k), complex(*cfg.fixed_k))
-    backend = "oracle" if cfg.backend == "oracle" else "kicked" if cfg.backend == "kicked" \
-        else cfg.backend
     if m == n:
-        est = corr_same_row(setup, i, k, m, delta=cfg.delta, backend=backend)
+        est = corr_same_row(setup, i, k, m, delta=cfg.delta, backend=cfg.backend)
     else:
-        est = corr_cross_row(setup, (i, m), (k, n), delta=cfg.delta, backend=backend)
+        est = corr_cross_row(setup, (i, m), (k, n), delta=cfg.delta, backend=cfg.backend)
     base = setup.base_model()
     sa, sb = setup.site(i, m), setup.site(k, n)
     norm2 = corr_norm_ratio(base, sa, sb)

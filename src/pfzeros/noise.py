@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .zeros import GridSpec, ScanGrid
+from .zeros import GridSpec, ScanGrid, minima_mask
 
 
 @dataclass(frozen=True)
@@ -89,18 +89,7 @@ def noisy_minima_mask(
     Non-strict comparison keeps plateaus of exact-zero counts detectable.
     """
     est = noisy.estimates
-    padded = np.full((est.shape[0] + 2, est.shape[1] + 2), np.inf)
-    padded[1:-1, 1:-1] = est
-    center = padded[1:-1, 1:-1]
-    mask = np.ones(est.shape, dtype=bool)
-    for dy in (-1, 0, 1):
-        for dx in (-1, 0, 1):
-            if dy == 0 and dx == 0:
-                continue
-            nb = padded[1 + dy : padded.shape[0] - 1 + dy, 1 + dx : padded.shape[1] - 1 + dx]
-            mask &= center <= nb
-    mask &= est <= count_threshold / noisy.n_shots
-    return mask
+    return minima_mask(est, np.less_equal) & (est <= count_threshold / noisy.n_shots)
 
 
 @dataclass(frozen=True)

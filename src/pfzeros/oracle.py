@@ -308,7 +308,7 @@ class DensityOfStates:
 
 def _check_exact_counts(counts: np.ndarray, n_spins: int) -> np.ndarray:
     if float(counts.max(initial=0.0)) >= 2.0**53:
-        raise OverflowError("density-of-states counts exceed exact float64 range")
+        raise CapExceededError("density-of-states counts exceed exact float64 range (2^53)")
     if float(counts.sum()) != float(2**n_spins):
         raise AssertionError("density-of-states table does not sum to 2^N")
     return counts.astype(np.uint64)

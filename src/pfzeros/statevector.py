@@ -24,6 +24,7 @@ import numpy as np
 from .circuits import Circuit, Gate, QubitRole
 from .errors import CapExceededError
 from .model import IsingModel
+from .oracle import brute_force_Z
 
 MEMORY_QUBIT_CAP = 26
 
@@ -142,12 +143,7 @@ def run_full(circuit: Circuit, cap: int = MEMORY_QUBIT_CAP) -> OverlapResult:
     The single ancilla projections of all gadgets are deferred to this final
     overlap, which is exact by the single-use-ancilla invariant.
     """
-    if circuit.n_qubits > cap:
-        raise CapExceededError(f"{circuit.n_qubits} qubits exceeds full-register cap {cap}")
-    state = StateVector.product_state(circuit.roles)
-    for gate in circuit.gates:
-        apply_gate(state, gate)
-    return OverlapResult(state.overlap_with_product(circuit.roles))
+    return OverlapResult(final_state(circuit, cap).overlap_with_product(circuit.roles))
 
 
 def final_state(circuit: Circuit, cap: int = MEMORY_QUBIT_CAP) -> StateVector:
@@ -200,21 +196,10 @@ def run_effective(model: IsingModel, cap: int = MEMORY_QUBIT_CAP) -> OverlapResu
 
     The returned amplitude times 2^N equals Z exactly; the "probability" is
     |Z|^2 / 2^(2N), which exceeds 1 whenever the non-unitary weights do (this
-    backend is an oracle identity, not a physical circuit).
+    backend is an oracle identity, not a physical circuit).  Summing the
+    diagonal weights over the register is brute_force_Z's configuration sum.
     """
-    n = model.n_spins
-    if n > cap:
-        raise CapExceededError(f"{n} spins exceeds effective-backend cap {cap}")
-    idx = np.arange(1 << n, dtype=np.int64)
-    expo = np.zeros(1 << n, dtype=np.complex128)
-    for b in model.bonds:
-        si = 1 - 2 * ((idx >> b.i) & 1)
-        sj = 1 - 2 * ((idx >> b.j) & 1)
-        expo += b.coupling * (si * sj)
-    for f in model.fields:
-        expo += f.field * (1 - 2 * ((idx >> f.i) & 1))
-    amplitude = complex(np.exp(-expo).sum()) * 2.0 ** (-n)
-    return OverlapResult(amplitude)
+    return OverlapResult(brute_force_Z(model, cap) * 2.0 ** (-model.n_spins))
 
 
 def measurement_basis(roles: tuple[QubitRole, ...]) -> tuple[str, ...]:

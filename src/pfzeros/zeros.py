@@ -80,9 +80,10 @@ class ScanGrid:
 def scan(evaluator, spec: GridSpec, threads: int | None = None) -> ScanGrid:
     """Dense evaluation of a log-scale evaluator over the grid.
 
-    The evaluator maps one complex point to ln of the scanned quantity
-    (|Z|^2 or L); an `evaluate_grid(points)` attribute, when present, is used
-    as a vectorized fast path.  Failures at single points are recorded as NaN
+    A grid evaluator offers only `evaluate_grid(mesh)`, which maps the whole
+    mesh to ln of the scanned quantity (|Z|^2 or L) in one call.  Any other
+    evaluator is a plain callable mapping one complex point to that value; it
+    is called point by point, failures at single points are recorded as NaN
     and the scan continues.  Results are deterministic regardless of the
     thread count.
     """
@@ -119,6 +120,24 @@ class MinimumCandidate:
     value: float
 
 
+def minima_mask(v: np.ndarray, compare) -> np.ndarray:
+    """Cells for which compare(cell, neighbour) holds against all 8 neighbours.
+
+    compare is np.less for strict minima or np.less_equal for non-strict
+    ones; neighbours beyond the grid edge count as +inf.
+    """
+    padded = np.full((v.shape[0] + 2, v.shape[1] + 2), np.inf)
+    padded[1:-1, 1:-1] = v
+    mask = np.ones(v.shape, dtype=bool)
+    for dy in (-1, 0, 1):
+        for dx in (-1, 0, 1):
+            if dy == 0 and dx == 0:
+                continue
+            nb = padded[1 + dy : padded.shape[0] - 1 + dy, 1 + dx : padded.shape[1] - 1 + dx]
+            mask &= compare(v, nb)
+    return mask
+
+
 def find_minima(grid: ScanGrid, rel_threshold: float = 1e-2) -> list[MinimumCandidate]:
     """Strict 8-neighborhood local minima on interior cells.
 
@@ -130,17 +149,8 @@ def find_minima(grid: ScanGrid, rel_threshold: float = 1e-2) -> list[MinimumCand
     cutoff = np.inf
     if finite.size and rel_threshold is not None:
         cutoff = float(np.median(finite)) + math.log(rel_threshold)
-    padded = np.full((v.shape[0] + 2, v.shape[1] + 2), np.inf)
-    padded[1:-1, 1:-1] = np.where(np.isnan(v), np.inf, v)
-    center = padded[1:-1, 1:-1]
-    is_min = np.ones(v.shape, dtype=bool)
-    for dy in (-1, 0, 1):
-        for dx in (-1, 0, 1):
-            if dy == 0 and dx == 0:
-                continue
-            nb = padded[1 + dy : padded.shape[0] - 1 + dy, 1 + dx : padded.shape[1] - 1 + dx]
-            is_min &= center < nb
-    is_min &= center <= cutoff
+    v_inf = np.where(np.isnan(v), np.inf, v)
+    is_min = minima_mask(v_inf, np.less) & (v_inf <= cutoff)
     is_min[0, :] = is_min[-1, :] = False
     is_min[:, 0] = is_min[:, -1] = False
     re = grid.spec.re_points()
@@ -208,6 +218,14 @@ def refine_newton(
     raise ConvergenceError(f"Newton did not converge from {z0:.6g} in {max_iter} iterations")
 
 
+def _horner(c, z):
+    """sum_k c[k] z^k by Horner's rule, for a scalar or an array z."""
+    p = 0
+    for ck in c[::-1]:
+        p = p * z + ck
+    return p
+
+
 def _horner_with_derivative(c: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     p = np.full_like(z, c[-1])
     dp = np.zeros_like(z)
@@ -215,15 +233,6 @@ def _horner_with_derivative(c: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, n
         dp = dp * z + p
         p = p * z + c[k]
     return p, dp
-
-
-def _poly_backward_scale(c: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """sum_k |c_k| |z|^k, the backward-error scale for residual acceptance."""
-    s = np.zeros(z.shape, dtype=np.float64)
-    az = np.abs(z)
-    for k in range(len(c) - 1, -1, -1):
-        s = s * az + abs(c[k])
-    return s
 
 
 def aberth_roots(
@@ -266,7 +275,8 @@ def aberth_roots(
                 z = z - p / dp
             return z
     p, _ = _horner_with_derivative(c, z)
-    if np.all(np.abs(p) <= 1e-10 * _poly_backward_scale(c, z)):
+    # sum_k |c_k| |z|^k is the backward-error scale for residual acceptance
+    if np.all(np.abs(p) <= 1e-10 * _horner(np.abs(c), np.abs(z))):
         return z
     raise ConvergenceError(f"Aberth iteration did not converge in {max_iter} steps")
 

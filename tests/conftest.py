@@ -6,12 +6,27 @@ shares no code path with the package's vectorized evaluation.
 
 import cmath
 import itertools
+import os
 
 import numpy as np
 import pytest
 
+import pfzeros
 from pfzeros.circuits import Circuit, Gadget, Gate, QubitRole
 from pfzeros.model import from_edge_list
+
+
+def child_env():
+    """Environment for a `python -m pfzeros` child process.
+
+    Puts the absolute directory holding the imported `pfzeros` package first
+    on PYTHONPATH, so the child runs the code under test whatever its working
+    directory; existing PYTHONPATH entries (possibly relative) follow it.
+    """
+    env = dict(os.environ)
+    package_root = os.path.dirname(os.path.dirname(os.path.abspath(pfzeros.__file__)))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    return env
 
 
 def enumerate_Z(n_spins, bonds, fields=()):

@@ -5,14 +5,12 @@ complete.  Every tolerance is pinned here, taken verbatim from the criteria.
 """
 
 import math
-import os
 import subprocess
 import sys
 import time
 
 import numpy as np
 
-import pfzeros
 from pfzeros.circuits import compile_general, compile_kicked, kicked_log_factor, ky_for_kick_field
 from pfzeros.correlations import KickedSetup, corr_cross_row, corr_norm_ratio, corr_same_row
 from pfzeros.errors import IllConditionedError
@@ -36,20 +34,7 @@ from pfzeros.zeros import (
     unit_circle_distance,
 )
 
-from conftest import random_gadget_circuit, random_model
-
-
-def child_env():
-    """Environment for a `python -m pfzeros` child process.
-
-    Puts the absolute directory holding the imported `pfzeros` package first
-    on PYTHONPATH, so the child runs the code under test whatever its working
-    directory; existing PYTHONPATH entries (possibly relative) follow it.
-    """
-    env = dict(os.environ)
-    package_root = os.path.dirname(os.path.dirname(os.path.abspath(pfzeros.__file__)))
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
-    return env
+from conftest import child_env, random_gadget_circuit, random_model
 
 
 def report(n, name, detail):

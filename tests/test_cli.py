@@ -1,8 +1,11 @@
 import json
 import math
+import subprocess
+import sys
 
 import pytest
 
+from conftest import child_env
 from pfzeros.cli import main
 
 
@@ -161,6 +164,17 @@ class TestErrors:
         assert run(["--task", "scan", "--model", "chain:3",
                     "--window", "1,0,0,1", "--out", tmp_path / "y"]) == 2
 
+    def test_dos_count_range_is_numerical_failure(self, tmp_path):
+        # from 8x8 on, density-of-states counts pass 2^53, the exact float64 range
+        proc = subprocess.run(
+            [sys.executable, "-m", "pfzeros", "--task", "zeros", "--model", "cylinder:8x8",
+             "--plane", "K", "--res", "10x10", "--out", str(tmp_path / "big")],
+            capture_output=True, text=True, env=child_env(), timeout=120,
+        )
+        assert proc.returncode == 4
+        assert proc.stderr.startswith("numerical failure:")
+        assert "Traceback" not in proc.stderr
+
 
 class TestViewPlanes:
     def test_tanh_k_scan(self, tmp_path):
@@ -181,3 +195,6 @@ class TestViewPlanes:
     def test_kick_field_plane_rejects_zeros_task(self, tmp_path):
         assert run(["--task", "zeros", "--model", "cylinder:3x2", "--plane", "kickH",
                     "--out", tmp_path / "x"]) == 2
+        # rejected before any scan or root-finding work, so nothing is written
+        assert not (tmp_path / "x.csv").exists()
+        assert not (tmp_path / "x.json").exists()
