@@ -2,8 +2,8 @@
 noise studies, correlation reports, and resource counts.
 
 Every output embeds the fully resolved run configuration; re-running from an
-embedded config (--rerun-from) reproduces the bytes exactly, independent of
-the worker-pool size.  Exit codes: 0 success, 2 config error, 3 tolerance
+embedded config (--rerun-from) reproduces the bytes exactly.  Every task runs
+on one thread.  Exit codes: 0 success, 2 config error, 3 tolerance
 violation (verify), 4 numerical failure.
 """
 
@@ -13,7 +13,6 @@ import argparse
 import cmath
 import json
 import math
-import os
 import sys
 from dataclasses import asdict, dataclass
 
@@ -46,7 +45,6 @@ from .zeros import (
 )
 
 FORMAT_VERSION = 1
-ENV_THREADS = "PFZEROS_THREADS"
 
 TASKS = ("scan", "zeros", "verify", "noise", "corr", "counts")
 PLANES = ("x", "K", "tanhK", "z", "H", "kickH")
@@ -77,7 +75,6 @@ class RunConfig:
     shots: int = 5000
     seed: int = 1234
     out: str = "pfzeros_out"
-    threads: int = 1
     png: bool = False
     sites: str = "0,0;1,1"
     delta: float = 0.01
@@ -102,9 +99,9 @@ class RunConfig:
     def to_dict(self) -> dict:
         """Resolved config as embedded in outputs.
 
-        The destination path and worker-pool size are execution details, not
-        part of the reproducible run definition, and are omitted so reruns
-        stay byte-identical.
+        The destination path is an execution detail, not part of the
+        reproducible run definition, and is omitted so reruns stay
+        byte-identical.
         """
         d = asdict(self)
         d["plane"] = self.resolved_plane()
@@ -113,19 +110,18 @@ class RunConfig:
         d["fixed_k"] = list(self.fixed_k)
         d["fixed_h"] = list(self.fixed_h)
         del d["out"]
-        del d["threads"]
         return d
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunConfig":
-        d = dict(d)
-        for key in ("window",):
-            if d.get(key) is not None:
-                d[key] = tuple(d[key])
-        for key in ("res", "fixed_k", "fixed_h"):
-            if d.get(key) is not None:
-                d[key] = tuple(d[key])
-        return cls(**d)
+        try:
+            d = dict(d)
+            for key in ("window", "res", "fixed_k", "fixed_h"):
+                if d.get(key) is not None:
+                    d[key] = tuple(d[key])
+            return cls(**d)
+        except TypeError as exc:  # unknown or missing keys, non-list values
+            raise ValueError(f"malformed embedded config: {exc}") from None
 
 
 def _parse_complex_pair(text: str) -> tuple[float, float]:
@@ -171,7 +167,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=1234)
     p.add_argument("--out", default="pfzeros_out", help="output path prefix")
     p.add_argument("--threads", type=int, default=None,
-                   help=f"worker pool size (default: ${ENV_THREADS} or CPU count)")
+                   help="accepted and ignored: every task runs on one thread")
     p.add_argument("--png", action="store_true", help="also write a heatmap PNG")
     p.add_argument("--sites", default="0,0;1,1", help="corr sites 'i,m;k,n'")
     p.add_argument("--delta", type=float, default=0.01, help="corr probe strength")
@@ -185,18 +181,11 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def resolve_threads(value: int | None) -> int:
-    if value is not None:
-        return max(1, value)
-    env = os.environ.get(ENV_THREADS)
-    if env:
-        return max(1, int(env))
-    return os.cpu_count() or 1
-
-
 def parse_model(spec: str, fixed_k: complex, fixed_h: complex) -> IsingModel:
     if spec.startswith("cylinder:"):
         dims = spec.split(":")[1].lower().split("x")
+        if len(dims) != 2:
+            raise ValueError(f"cylinder model must be cylinder:NxL, got {spec!r}")
         n, l = int(dims[0]), int(dims[1])
         return build_cylinder(n, l, fixed_k, fixed_k, fixed_h, merge_duplicate_bonds=n == 2)
     if spec.startswith("chain:"):
@@ -337,7 +326,7 @@ def cmd_scan(cfg: RunConfig) -> int:
     model = parse_model(cfg.model, complex(*cfg.fixed_k), complex(*cfg.fixed_h))
     spec = cfg.grid_spec()
     evaluator = make_evaluator(cfg, model)
-    grid = scan(evaluator, spec, threads=resolve_threads(cfg.threads))
+    grid = scan(evaluator, spec)
     write_grid_csv(cfg.out + ".csv", cfg, spec, grid.values)
     write_json(cfg.out + ".json", cfg, {
         "task": "scan",
@@ -359,7 +348,7 @@ def cmd_zeros(cfg: RunConfig) -> int:
     dos = density_of_states(model)
     oracle_ev = _oracle_evaluator(cfg, dos)
     evaluator = oracle_ev if cfg.backend == "oracle" else make_evaluator(cfg, model)
-    grid = scan(evaluator, spec, threads=resolve_threads(cfg.threads))
+    grid = scan(evaluator, spec)
     write_grid_csv(cfg.out + ".csv", cfg, spec, grid.values)
     minima = find_minima(grid, rel_threshold=None)
 
@@ -520,6 +509,11 @@ def cmd_verify(cfg: RunConfig) -> int:
 
 
 def cmd_noise(cfg: RunConfig) -> int:
+    if cfg.cut:
+        key, _, val = cfg.cut.partition("=")
+        if key != "im":
+            raise ValueError("cut must be 'im=<value>'")
+        cut_im = float(val)
     model = parse_model(cfg.model, complex(*cfg.fixed_k), complex(*cfg.fixed_h))
     dims = _model_dims(model)
     if dims is None:
@@ -528,8 +522,8 @@ def cmd_noise(cfg: RunConfig) -> int:
     if spec.plane_tag != "K":
         raise ValueError("noise task scans the complex K plane")
     evaluator = KickedProbabilityEvaluator(*dims)
-    grid = scan(evaluator, spec, threads=resolve_threads(cfg.threads))
-    noisy = noisy_scan(grid, cfg.shots, cfg.seed, threads=resolve_threads(cfg.threads))
+    grid = scan(evaluator, spec)
+    noisy = noisy_scan(grid, cfg.shots, cfg.seed)
 
     dos = density_of_states(model)
     roots = polynomial_roots(dos, "fisher", complex(*cfg.fixed_h))
@@ -541,10 +535,7 @@ def cmd_noise(cfg: RunConfig) -> int:
         np.where(noisy.estimates > 0, noisy.estimates, np.nan)
     ), extra_columns={"estimate": noisy.estimates})
     if cfg.cut:
-        key, _, val = cfg.cut.partition("=")
-        if key != "im":
-            raise ValueError("cut must be 'im=<value>'")
-        iy = int(np.argmin(np.abs(spec.im_points() - float(val))))
+        iy = int(np.argmin(np.abs(spec.im_points() - cut_im)))
         with open(cfg.out + "_cut.csv", "w", encoding="utf-8") as fh:
             fh.write(_meta_line(cfg) + "\n")
             fh.write("re,true_L,estimate\n")
@@ -628,7 +619,7 @@ def cmd_counts(cfg: RunConfig) -> int:
             table.append(row)
             print(f"{n:>3} {l:>3} {general.n_qubits:>15} {kicked.n_qubits:>14} "
                   f"{general.n_gates:>6}")
-    model = None
+    own = None
     if cfg.model:
         model = parse_model(cfg.model, complex(*cfg.fixed_k), complex(*cfg.fixed_h))
         own = resource_counts(compile_general(model))
@@ -636,7 +627,7 @@ def cmd_counts(cfg: RunConfig) -> int:
     write_json(cfg.out + ".json", cfg, {
         "task": "counts",
         "table": table,
-        "model_counts": asdict(resource_counts(compile_general(model))) if model else None,
+        "model_counts": asdict(own) if own is not None else None,
     })
     return 0
 
@@ -649,6 +640,8 @@ def _load_embedded_config(path: str) -> RunConfig:
         else:
             fh.seek(0)
             doc = json.load(fh)
+    if not isinstance(doc, dict) or "config" not in doc:
+        raise ValueError(f"{path} has no embedded pfzeros config")
     return RunConfig.from_dict(doc["config"])
 
 
@@ -659,8 +652,6 @@ def main(argv: list[str] | None = None) -> int:
         if args.rerun_from:
             cfg = _load_embedded_config(args.rerun_from)
             cfg.out = args.out
-            if args.threads is not None:
-                cfg.threads = args.threads
         else:
             if not args.task:
                 parser.error("--task is required (or --rerun-from)")
@@ -678,7 +669,6 @@ def main(argv: list[str] | None = None) -> int:
                 shots=args.shots,
                 seed=args.seed,
                 out=args.out,
-                threads=resolve_threads(args.threads),
                 png=args.png,
                 sites=args.sites,
                 delta=args.delta,

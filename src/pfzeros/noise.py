@@ -1,14 +1,13 @@
 """Projection noise on return-probability maps and zero detectability.
 
 A measured map replaces each true probability L by Binomial(n, L)/n.  Every
-grid point draws from its own RNG stream keyed by (seed, iy, ix), so noisy
-scans are reproducible no matter how the work is scheduled.
+grid point draws from its own RNG stream keyed by (seed, iy, ix), so a noisy
+scan is reproducible from its seed alone.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,30 +36,22 @@ def true_probabilities(grid: ScanGrid) -> np.ndarray:
     return np.clip(p, 0.0, 1.0)
 
 
-def noisy_scan(
-    true_grid: ScanGrid, n_shots: int, seed: int, threads: int | None = None
-) -> NoisyGrid:
+def noisy_scan(true_grid: ScanGrid, n_shots: int, seed: int) -> NoisyGrid:
     """Binomial projection noise, one independent stream per grid point.
 
-    Distributionally identical to full multinomial shot sampling of the
-    all-initial-state event.
+    Cell (iy, ix) draws from `default_rng((seed, iy, ix))`, so each estimate
+    depends only on the seed, its cell and its true L.  Distributionally
+    identical to full multinomial shot sampling of the all-initial-state
+    event.
     """
     if n_shots < 1:
         raise ValueError("n_shots must be >= 1")
     p = true_probabilities(true_grid)
     est = np.empty_like(p)
-
-    def fill_row(iy: int) -> None:
+    for iy in range(p.shape[0]):
         for ix in range(p.shape[1]):
             rng = np.random.default_rng((seed, iy, ix))
             est[iy, ix] = rng.binomial(n_shots, p[iy, ix]) / n_shots
-
-    if threads is not None and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(fill_row, range(p.shape[0])))
-    else:
-        for iy in range(p.shape[0]):
-            fill_row(iy)
     return NoisyGrid(true_grid, est, n_shots, seed)
 
 

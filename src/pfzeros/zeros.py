@@ -10,7 +10,6 @@ and companion-matrix eigenvalues).
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,15 +76,14 @@ class ScanGrid:
         return complex(self.spec.re_points()[ix], self.spec.im_points()[iy])
 
 
-def scan(evaluator, spec: GridSpec, threads: int | None = None) -> ScanGrid:
+def scan(evaluator, spec: GridSpec) -> ScanGrid:
     """Dense evaluation of a log-scale evaluator over the grid.
 
     A grid evaluator offers only `evaluate_grid(mesh)`, which maps the whole
     mesh to ln of the scanned quantity (|Z|^2 or L) in one call.  Any other
     evaluator is a plain callable mapping one complex point to that value; it
-    is called point by point, failures at single points are recorded as NaN
-    and the scan continues.  Results are deterministic regardless of the
-    thread count.
+    is called point by point in row-major order on the calling thread,
+    failures at single points are recorded as NaN and the scan continues.
     """
     mesh = spec.mesh()
     if hasattr(evaluator, "evaluate_grid"):
@@ -95,20 +93,12 @@ def scan(evaluator, spec: GridSpec, threads: int | None = None) -> ScanGrid:
         return ScanGrid(spec, values)
 
     values = np.full(mesh.shape, np.nan, dtype=np.float64)
-
-    def eval_row(iy: int) -> None:
+    for iy in range(spec.n_im):
         for ix in range(spec.n_re):
             try:
                 values[iy, ix] = float(evaluator(complex(mesh[iy, ix])))
             except Exception:
                 values[iy, ix] = np.nan
-
-    if threads is not None and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(eval_row, range(spec.n_im)))
-    else:
-        for iy in range(spec.n_im):
-            eval_row(iy)
     return ScanGrid(spec, values)
 
 

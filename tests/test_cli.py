@@ -2,6 +2,7 @@ import json
 import math
 import subprocess
 import sys
+import threading
 
 import pytest
 
@@ -164,6 +165,33 @@ class TestErrors:
         assert run(["--task", "scan", "--model", "chain:3",
                     "--window", "1,0,0,1", "--out", tmp_path / "y"]) == 2
 
+    def test_cylinder_without_length_is_config_error(self, tmp_path, capsys):
+        assert run(["--task", "scan", "--model", "cylinder:3",
+                    "--out", tmp_path / "c"]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
+    def test_rerun_config_with_unknown_key_is_config_error(self, tmp_path, capsys):
+        assert run(["--task", "scan", "--model", "chain:3", "--res", "4x4",
+                    "--out", tmp_path / "a"]) == 0
+        doc = json.loads((tmp_path / "a.json").read_text())
+        doc["config"]["bogus"] = 1
+        (tmp_path / "bad.json").write_text(json.dumps(doc))
+        assert run(["--rerun-from", tmp_path / "bad.json", "--out", tmp_path / "b"]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert not (tmp_path / "b.csv").exists()
+
+    def test_rerun_json_without_config_is_config_error(self, tmp_path, capsys):
+        (tmp_path / "bare.json").write_text('{"format_version": 1}')
+        assert run(["--rerun-from", tmp_path / "bare.json", "--out", tmp_path / "b"]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
+    def test_bad_noise_cut_rejected_before_work(self, tmp_path):
+        out = tmp_path / "n"
+        assert run(["--task", "noise", "--model", "cylinder:3x2", "--res", "6x6",
+                    "--shots", "50", "--cut", "re=1", "--out", out]) == 2
+        assert not (tmp_path / "n_true.csv").exists()
+        assert not (tmp_path / "n_noisy.csv").exists()
+
     def test_dos_count_range_is_numerical_failure(self, tmp_path):
         # from 8x8 on, density-of-states counts pass 2^53, the exact float64 range
         proc = subprocess.run(
@@ -174,6 +202,29 @@ class TestErrors:
         assert proc.returncode == 4
         assert proc.stderr.startswith("numerical failure:")
         assert "Traceback" not in proc.stderr
+
+
+class TestOneThread:
+    """Every task runs on the calling thread, whatever --threads says."""
+
+    @pytest.fixture(autouse=True)
+    def no_thread_start(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError("a worker thread was started")
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+
+    def test_pointwise_scan(self, tmp_path):
+        out = tmp_path / "e"
+        assert run(["--task", "scan", "--backend", "effective", "--model", "cylinder:3x2",
+                    "--plane", "K", "--res", "6x5", "--threads", "4", "--out", out]) == 0
+        assert len((tmp_path / "e.csv").read_text().splitlines()) == 2 + 6 * 5
+
+    def test_noise(self, tmp_path):
+        out = tmp_path / "n"
+        assert run(["--task", "noise", "--model", "cylinder:3x2", "--res", "8x6",
+                    "--shots", "100", "--threads", "4", "--out", out]) == 0
+        for suffix in ("_true.csv", "_noisy.csv", "_report.json"):
+            assert (tmp_path / f"n{suffix}").exists()
 
 
 class TestViewPlanes:

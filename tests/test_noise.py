@@ -31,13 +31,6 @@ class TestNoisyScan:
         c = noisy_scan(grid, 500, seed=8)
         assert not np.array_equal(a.estimates, c.estimates)
 
-    def test_thread_invariance(self):
-        spec = GridSpec(-1, 1, -1, 1, 9, 11)
-        grid = l_grid(lambda w: 0.4, spec)
-        a = noisy_scan(grid, 200, seed=3, threads=1)
-        b = noisy_scan(grid, 200, seed=3, threads=5)
-        assert np.array_equal(a.estimates, b.estimates)
-
     def test_degenerate_probabilities(self):
         spec = GridSpec(-1, 1, -1, 1, 6, 6)
         zeros = noisy_scan(l_grid(lambda w: 0.0, spec), 100, seed=1)

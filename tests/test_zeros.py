@@ -48,13 +48,6 @@ class TestScan:
         assert np.isnan(grid.values).any()
         assert np.isfinite(grid.values).any()
 
-    def test_thread_count_invariance(self):
-        spec = GridSpec(-1, 1, -1, 1, 13, 9)
-        f = lambda w: math.log(abs(2 * cmath.cosh(w)) ** 2 + 1e-30)
-        a = scan(f, spec, threads=1)
-        b = scan(f, spec, threads=4)
-        assert np.array_equal(a.values, b.values)
-
     def test_one_spin_lee_yang_minimum(self):
         # |2 cosh(H)|^2 vanishes at H = i pi/2
         spec = GridSpec(-1, 1, 0, math.pi, 61, 63, "H")
