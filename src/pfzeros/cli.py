@@ -451,6 +451,8 @@ def _verify_models() -> list[tuple[str, IsingModel]]:
 
 
 def cmd_verify(cfg: RunConfig) -> int:
+    if cfg.draws < 1:
+        raise ValueError("--draws must be >= 1")
     rng = np.random.default_rng(cfg.seed)
     rows = []
     worst = {"general": 0.0, "streamed": 0.0, "effective": 0.0, "kicked": 0.0}
@@ -509,6 +511,8 @@ def cmd_verify(cfg: RunConfig) -> int:
 
 
 def cmd_noise(cfg: RunConfig) -> int:
+    if cfg.shots < 1:
+        raise ValueError("--shots must be >= 1")
     if cfg.cut:
         key, _, val = cfg.cut.partition("=")
         if key != "im":

@@ -35,11 +35,13 @@ logger = logging.getLogger(__name__)
 
 MAX_PROBE_DELTA = 0.05
 
-# Nominal response signs (|Z(d)|^2/|Z(0)|^2 - 1 ~ sign * 2d*Re<ss>, etc.);
-# the calibrated table may differ.
+# Nominal response signs (|Z(d)|^2/|Z(0)|^2 - 1 ~ sign * 2d*Re<ss>, etc.).
+# The weight is exp(-K ss), so dZ/dK = -Z<ss>: K -> K+d moves |Z|^2 by
+# -2d Re<ss> |Z|^2, and K -> K+id by +2d Im<ss> |Z|^2.  probe_sign_table
+# checks these against the exact oracle.
 NOMINAL_SIGNS = {
-    "same_row_real": 1.0,
-    "same_row_imag": -1.0,
+    "same_row_real": -1.0,
+    "same_row_imag": 1.0,
     "cross_row_real": 1.0,
     "cross_row_rotated": -1.0,
 }

@@ -24,6 +24,7 @@ DOS_ENUMERATION_CAP = 30
 DOS_TRANSFER_CIRC_CAP = 10
 
 _CHUNK_BITS = 20
+_TRANSFER_BLOCK = 256  # points per contraction block: ~256 * 2^n * 16 B per array
 
 
 @dataclass(frozen=True)
@@ -188,6 +189,12 @@ def transfer_matrix_Z_grid(
     (O(L * n * 2^n) per point) and per-row rescaling, so 7x7 magnitudes never
     overflow.  The ring energy for n_circ = 2 counts both (0,1) and (1,0),
     matching the merged double bond of build_cylinder.
+
+    Points are contracted in fixed blocks of _TRANSFER_BLOCK (256), each held
+    point-minor as v[state, point], so every elementwise step runs over
+    contiguous points.  Peak memory is O(block * 2^n), whatever the number of
+    points; each point's arithmetic, and so its result, does not depend on the
+    block it falls in.
     """
     if n_circ < 2:
         raise ValueError("cylinder circumference must be >= 2")
@@ -201,29 +208,31 @@ def transfer_matrix_Z_grid(
     npts = max(Kx.size, Ky.size, H.size)
     Kx, Ky, H = (np.broadcast_to(a, (npts,)) for a in (Kx, Ky, H))
 
-    dim = 1 << n_circ
     ring = _ring_energy(n_circ).astype(np.float64)
     mag = _row_magnetization(n_circ).astype(np.float64)
-    row_w = np.exp(-(Kx[:, None] * ring[None, :] + H[:, None] * mag[None, :]))
-
-    v = row_w.copy()
     log_acc = np.zeros(npts, dtype=np.float64)
-    em, ep = np.exp(-Ky), np.exp(Ky)
-    for _ in range(l_len - 1):
-        for site in range(n_circ):
-            va = v.reshape(npts, -1, 2, 1 << site)
-            a = va[:, :, 0, :].copy()
-            b = va[:, :, 1, :]
-            va[:, :, 0, :] = em[:, None, None] * a + ep[:, None, None] * b
-            va[:, :, 1, :] = ep[:, None, None] * a + em[:, None, None] * b
-        v *= row_w
-        m = np.max(np.abs(v), axis=1)
-        safe = np.where(m > 0, m, 1.0)
-        v /= safe[:, None]
-        with np.errstate(divide="ignore"):
-            log_acc += np.log(m)
+    z = np.empty(npts, dtype=np.complex128)
+    for lo in range(0, npts, _TRANSFER_BLOCK):
+        blk = slice(lo, lo + _TRANSFER_BLOCK)
+        row_w = np.exp(-(Kx[blk, None] * ring[None, :] + H[blk, None] * mag[None, :]))
+        row_w = np.ascontiguousarray(row_w.T)  # v[state, point]
+        v = row_w.copy()
+        em, ep = np.exp(-Ky[blk]), np.exp(Ky[blk])
+        for _ in range(l_len - 1):
+            for site in range(n_circ):
+                va = v.reshape(-1, 2, 1 << site, v.shape[1])
+                a = va[:, 0].copy()
+                b = va[:, 1]
+                va[:, 0] = em * a + ep * b
+                va[:, 1] = ep * a + em * b
+            v *= row_w
+            m = np.max(np.abs(v), axis=0)
+            v /= np.where(m > 0, m, 1.0)
+            with np.errstate(divide="ignore"):
+                log_acc[blk] += np.log(m)
+        # pairwise sum along contiguous states, in the order of a (points, states) sum
+        z[blk] = np.ascontiguousarray(v.T).sum(axis=1)
 
-    z = v.sum(axis=1)
     with np.errstate(divide="ignore"):
         logmag = log_acc + np.log(np.abs(z))
     phase = np.angle(z)

@@ -192,6 +192,20 @@ class TestErrors:
         assert not (tmp_path / "n_true.csv").exists()
         assert not (tmp_path / "n_noisy.csv").exists()
 
+    def test_noise_shots_checked_before_scan(self, tmp_path, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the scan ran before --shots was checked")
+        monkeypatch.setattr("pfzeros.cli.scan", refuse)
+        assert run(["--task", "noise", "--model", "cylinder:3x2", "--res", "6x6",
+                    "--shots", "0", "--out", tmp_path / "n"]) == 2
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("draws", ["0", "-1"])
+    def test_verify_without_draws_is_config_error(self, tmp_path, capsys, draws):
+        assert run(["--task", "verify", "--draws", draws, "--out", tmp_path / "v"]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert not (tmp_path / "v.json").exists()
+
     def test_dos_count_range_is_numerical_failure(self, tmp_path):
         # from 8x8 on, density-of-states counts pass 2^53, the exact float64 range
         proc = subprocess.run(

@@ -1,3 +1,4 @@
+import logging
 import math
 
 import pytest
@@ -32,12 +33,21 @@ class TestProbeSpec:
 class TestSignTable:
     def test_resolved_table(self):
         table = probe_sign_table()
-        # first-order signs flip relative to the nominal formulas; the
-        # second-order (cross-row) signs match them
-        assert table["same_row_real"] == -NOMINAL_SIGNS["same_row_real"]
-        assert table["same_row_imag"] == -NOMINAL_SIGNS["same_row_imag"]
-        assert table["cross_row_real"] == NOMINAL_SIGNS["cross_row_real"]
-        assert table["cross_row_rotated"] == NOMINAL_SIGNS["cross_row_rotated"]
+        # w = exp(-K ss): a real coupling probe lowers |Z|^2 by 2d Re<ss>, an
+        # imaginary one raises it by 2d Im<ss>
+        assert table == {
+            "same_row_real": -1.0,
+            "same_row_imag": 1.0,
+            "cross_row_real": 1.0,
+            "cross_row_rotated": -1.0,
+        }
+
+    def test_calibration_agrees_with_nominal(self, caplog):
+        probe_sign_table.cache_clear()
+        with caplog.at_level(logging.WARNING, logger="pfzeros.correlations"):
+            table = probe_sign_table()
+        assert [r for r in caplog.records if r.levelno >= logging.WARNING] == []
+        assert table == NOMINAL_SIGNS
 
 
 class TestNormRatio:

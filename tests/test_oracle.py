@@ -1,5 +1,6 @@
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -145,6 +146,43 @@ class TestTransferMatrix:
             single = transfer_matrix_Z(3, 2, k, k, 0)
             assert lm == pytest.approx(single.log_magnitude, abs=1e-12)
             assert ph == pytest.approx(single.phase, abs=1e-12)
+
+    @staticmethod
+    def _random_points(rng, npts):
+        # anisotropic, with a field; 600 points span several blocks and a partial last one
+        return tuple(rng.normal(0, 0.4, npts) + 1j * rng.normal(0, 0.4, npts) for _ in range(3))
+
+    @pytest.mark.parametrize("dims", [(3, 3), (4, 2)])
+    def test_points_are_independent(self, dims, rng):
+        n, l = dims
+        kx, ky, h = self._random_points(rng, 600)
+        logmag, phase = transfer_matrix_Z_grid(n, l, kx, ky, h)
+        for i in range(kx.size):
+            lm, ph = transfer_matrix_Z_grid(n, l, kx[i:i + 1], ky[i:i + 1], h[i:i + 1])
+            assert lm[0] == logmag[i] and ph[0] == phase[i]
+        lm_rev, ph_rev = transfer_matrix_Z_grid(n, l, kx[::-1], ky[::-1], h[::-1])
+        assert np.array_equal(lm_rev, logmag[::-1]) and np.array_equal(ph_rev, phase[::-1])
+
+    @pytest.mark.parametrize("dims", [(3, 3), (4, 2)])
+    def test_grid_matches_brute_force(self, dims, rng):
+        n, l = dims
+        kx, ky, h = self._random_points(rng, 600)
+        logmag, phase = transfer_matrix_Z_grid(n, l, kx, ky, h)
+        for i in range(kx.size):
+            z = brute_force_Z(build_cylinder(n, l, kx[i], ky[i], h[i]))
+            if abs(z) > 0:
+                got = LogComplex.from_log(float(logmag[i]), float(phase[i])).to_complex()
+                assert abs(got - z) <= 1e-10 * abs(z)
+
+    def test_peak_memory_independent_of_point_count(self, rng):
+        kx, ky, h = self._random_points(rng, 20_000)
+        tracemalloc.start()
+        try:
+            transfer_matrix_Z_grid(7, 2, kx, ky, h)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
     def test_no_overflow_7x7(self):
         # |Z| ~ e^(|K| * 91) = e^728, beyond double range, still finite in logs
