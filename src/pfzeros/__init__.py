@@ -80,8 +80,11 @@ from .zeros import (
     MinimumCandidate,
     ScanGrid,
     ZeroEstimate,
+    discs_disjoint,
     find_minima,
+    inclusion_radii,
     map_roots,
+    polynomial_coefficients,
     polynomial_roots,
     refine_newton,
     rescale_from_x,

@@ -36,10 +36,13 @@ from .oracle import DensityOfStates, brute_force_Z, correlation, density_of_stat
 from .statevector import run_effective, run_full, run_streamed
 from .zeros import (
     GridSpec,
+    discs_disjoint,
     find_minima,
+    inclusion_radii,
     map_roots,
+    polynomial_coefficients,
     polynomial_roots,
-    refine_newton,
+    roots_of_polynomial,
     scan,
     unit_circle_distance,
 )
@@ -346,61 +349,52 @@ def cmd_zeros(cfg: RunConfig) -> int:
         raise ValueError("zeros task does not support the kick-field plane; scan it instead")
     model = parse_model(cfg.model, complex(*cfg.fixed_k), complex(*cfg.fixed_h))
     dos = density_of_states(model)
-    oracle_ev = _oracle_evaluator(cfg, dos)
-    evaluator = oracle_ev if cfg.backend == "oracle" else make_evaluator(cfg, model)
+    evaluator = (_oracle_evaluator(cfg, dos) if cfg.backend == "oracle"
+                 else make_evaluator(cfg, model))
     grid = scan(evaluator, spec)
     write_grid_csv(cfg.out + ".csv", cfg, spec, grid.values)
     minima = find_minima(grid, rel_threshold=None)
 
     which = "fisher" if _is_fisher(plane) else "lee_yang"
     fixed = complex(*cfg.fixed_h) if which == "fisher" else complex(*cfg.fixed_k)
-    roots = polynomial_roots(dos, which, fixed)
-    roots_companion = polynomial_roots(dos, which, fixed, method="companion")
+    coeffs = polynomial_coefficients(dos, which, fixed)
+    roots = roots_of_polynomial(coeffs)
+    radii = inclusion_radii(coeffs, roots)
     if plane in ("K", "H"):
         in_window = map_roots(roots, spec, plane)
-    elif plane == "tanhK":
-        # roots at x = -1 (K on the i pi/2 lattice) have no finite tanh view
-        with np.errstate(divide="ignore", invalid="ignore"):
-            views = (1.0 - np.asarray(roots)) / (1.0 + np.asarray(roots))
-        in_window = sorted(
-            (
-                complex(v)
-                for r, v in zip(roots, views)
-                if r != 0 and np.isfinite(v) and spec.contains(complex(v))
-            ),
-            key=lambda w: (w.real, w.imag),
-        )
     else:
+        views = roots
+        if plane == "tanhK":
+            # roots at x = -1 (K on the i pi/2 lattice) have no finite tanh view
+            with np.errstate(divide="ignore", invalid="ignore"):
+                views = (1.0 - roots) / (1.0 + roots)
         in_window = sorted(
-            (complex(r) for r in roots if r != 0 and spec.contains(complex(r))),
+            (complex(v) for r, v in zip(roots, views)
+             if r != 0 and np.isfinite(v) and spec.contains(complex(v))),
             key=lambda w: (w.real, w.imag),
         )
 
-    newton_eval = oracle_ev.newton_z()
-    scale = max(spec.re_max - spec.re_min, spec.im_max - spec.im_min)
-    refined, failures = [], []
-    for cand in minima:
-        try:
-            est = refine_newton(newton_eval, cand.location, step_scale=scale)
-            refined.append(est)
-        except PfzError as exc:
-            failures.append({"location": cand.location, "error": str(exc)})
-
+    # Chebyshev distance in cells between every in-window root and every minimum
     dre, dim = spec.cell_size()
-    matches = []
-    for root in in_window:
-        cells = [
-            max(abs(root.real - c.location.real) / dre, abs(root.imag - c.location.imag) / dim)
-            for c in minima
-        ]
-        best = int(np.argmin(cells)) if cells else None
-        newton_dist = min((abs(root - r.location) for r in refined), default=math.inf)
-        matches.append({
+    w = np.array(in_window, dtype=np.complex128)[:, None]
+    m = np.array([c.location for c in minima], dtype=np.complex128)[None, :]
+    cells = np.maximum(np.abs(w.real - m.real) / dre, np.abs(w.imag - m.imag) / dim)
+    has_pair = cells.size > 0
+    matches = [
+        {
             "root": root,
-            "minimum_cell_distance": float(min(cells)) if cells else math.inf,
-            "minimum": minima[best].location if best is not None else None,
-            "newton_distance": newton_dist,
-        })
+            "minimum_cell_distance": float(cells[i].min()) if has_pair else math.inf,
+            "minimum": minima[int(np.argmin(cells[i]))].location if has_pair else None,
+        }
+        for i, root in enumerate(in_window)
+    ]
+    refined = []  # each grid minimum with its nearest in-window root
+    if has_pair:
+        refined = [
+            {"location": in_window[int(np.argmin(col))], "method": "polynomial",
+             "iterations": 0, "cell_distance": float(col.min())}
+            for col in cells.T
+        ]
 
     payload = {
         "task": "zeros",
@@ -408,17 +402,13 @@ def cmd_zeros(cfg: RunConfig) -> int:
         "zero_family": which,
         "n_minima": len(minima),
         "minima": [{"location": c.location, "value": c.value} for c in minima],
-        "refined": [
-            {"location": r.location, "residual": r.residual, "iterations": r.iterations,
-             "method": r.method}
-            for r in refined
-        ],
-        "refine_failures": failures,
+        "refined": refined,
         "polynomial_roots": [complex(r) for r in roots],
-        "companion_max_disagreement": _root_multiset_distance(roots, roots_companion),
+        "inclusion_radius": radii,
+        "discs_disjoint": discs_disjoint(roots, radii),
         "roots_in_window": [complex(r) for r in in_window],
         "matches": matches,
-        "origin_root_multiplicity": int(np.sum(np.asarray(roots) == 0)),
+        "origin_root_multiplicity": int(np.sum(roots == 0)),
     }
     if which == "fisher":
         payload["rescale_variable"] = RESCALE_VARIABLE
@@ -428,16 +418,6 @@ def cmd_zeros(cfg: RunConfig) -> int:
     write_json(cfg.out + ".json", cfg, payload)
     maybe_png(cfg.out + ".png", spec, grid.values, cfg.png)
     return 0
-
-
-def _root_multiset_distance(a: np.ndarray, b: np.ndarray) -> float:
-    from scipy.optimize import linear_sum_assignment
-
-    if len(a) != len(b):
-        return math.inf
-    cost = np.abs(np.asarray(a)[:, None] - np.asarray(b)[None, :])
-    r, c = linear_sum_assignment(cost)
-    return float(cost[r, c].max())
 
 
 def _verify_models() -> list[tuple[str, IsingModel]]:
@@ -525,13 +505,12 @@ def cmd_noise(cfg: RunConfig) -> int:
     spec = cfg.grid_spec()
     if spec.plane_tag != "K":
         raise ValueError("noise task scans the complex K plane")
-    evaluator = KickedProbabilityEvaluator(*dims)
-    grid = scan(evaluator, spec)
-    noisy = noisy_scan(grid, cfg.shots, cfg.seed)
-
+    # the exact zeros come first: a model past the exact-count range fails before the scan
     dos = density_of_states(model)
     roots = polynomial_roots(dos, "fisher", complex(*cfg.fixed_h))
     zeros_in_window = map_roots(roots, spec, "K")
+    grid = scan(KickedProbabilityEvaluator(*dims), spec)
+    noisy = noisy_scan(grid, cfg.shots, cfg.seed)
     report = detectability(noisy, zeros_in_window)
 
     write_grid_csv(cfg.out + "_true.csv", cfg, spec, grid.values)

@@ -259,12 +259,16 @@ def probe_sign_table() -> dict[str, float]:
 
 @dataclass(frozen=True)
 class CorrelationEstimate:
-    value: complex  # extrapolated when Richardson is enabled, else raw
     raw: complex
     extrapolated: complex
     delta: float
     backend: str
     method: str
+
+    @property
+    def value(self) -> complex:
+        """The Richardson-extrapolated estimate."""
+        return self.extrapolated
 
 
 def corr_same_row(
@@ -274,7 +278,6 @@ def corr_same_row(
     row: int,
     delta: float = 0.01,
     backend: str = "oracle",
-    richardson: bool = True,
 ) -> CorrelationEstimate:
     """<S_{i,row} S_{k,row}> from first-order coupling probes.
 
@@ -299,8 +302,7 @@ def corr_same_row(
     raw = estimate(delta)
     half = estimate(delta / 2.0)
     extrapolated = 2.0 * half - raw
-    value = extrapolated if richardson else raw
-    return CorrelationEstimate(value, raw, extrapolated, delta, backend, "same_row")
+    return CorrelationEstimate(raw, extrapolated, delta, backend, "same_row")
 
 
 def corr_cross_row(
@@ -309,7 +311,6 @@ def corr_cross_row(
     site_b: tuple[int, int],
     delta: float = 0.01,
     backend: str = "oracle",
-    richardson: bool = True,
 ) -> CorrelationEstimate:
     """<S_a S_b> for spins in different rows from second-order field probes.
 
@@ -344,5 +345,4 @@ def corr_cross_row(
     raw = estimate(delta)
     half = estimate(delta / 2.0)
     extrapolated = (4.0 * half - raw) / 3.0  # leading error is O(delta^2)
-    value = extrapolated if richardson else raw
-    return CorrelationEstimate(value, raw, extrapolated, delta, backend, "cross_row")
+    return CorrelationEstimate(raw, extrapolated, delta, backend, "cross_row")

@@ -1,10 +1,10 @@
 """Locating Fisher and Lee-Yang zeroes.
 
-Three cooperating routes: dense complex-plane scans with local-minima
-detection, complex Newton refinement with numerical derivatives (so any
-backend can be refined), and exact polynomial root-finding on
-density-of-states coefficients via two independent finders (Aberth-Ehrlich
-and companion-matrix eigenvalues).
+Dense complex-plane scans with local-minima detection, and the roots of the
+density-of-states polynomial: exact roots at the origin and at +-1 split off,
+the rest found by Aberth-Ehrlich and certified by Weierstrass inclusion
+discs.  A complex Newton iteration with numerical derivatives refines a zero
+of any complex-Z evaluator.
 """
 
 from __future__ import annotations
@@ -67,13 +67,6 @@ class GridSpec:
 class ScanGrid:
     spec: GridSpec
     values: np.ndarray  # (n_im, n_re) log-scale; -inf for exact zeros, NaN for failures
-
-    @property
-    def plane_tag(self) -> str:
-        return self.spec.plane_tag
-
-    def point(self, iy: int, ix: int) -> complex:
-        return complex(self.spec.re_points()[ix], self.spec.im_points()[iy])
 
 
 def scan(evaluator, spec: GridSpec) -> ScanGrid:
@@ -271,22 +264,24 @@ def aberth_roots(
     raise ConvergenceError(f"Aberth iteration did not converge in {max_iter} steps")
 
 
-def companion_roots(coeffs: np.ndarray) -> np.ndarray:
-    """Independent second finder: companion-matrix eigenvalues (numpy.roots)."""
-    c = np.asarray(coeffs, dtype=np.complex128)
-    return np.roots(c[::-1] / np.max(np.abs(c)))
+def _split_exact_roots(coeffs) -> tuple[np.ndarray, np.ndarray]:
+    """(exact roots, remaining coefficients) of a low-to-high polynomial.
 
-
-def _deflate_exact_units(c: np.ndarray) -> tuple[np.ndarray, list[complex]]:
-    """Split off roots at exactly +-1 detected by exact coefficient sums.
-
-    Integer-valued density-of-states coefficients give P(+-1) as exact float
+    Trailing zero coefficients give exact roots at the origin.  Roots at
+    exactly +-1 are detected by exact coefficient sums and divided out:
+    integer-valued density-of-states coefficients give P(+-1) as exact float
     sums, and the 2D-Ising polynomials carry genuinely multiple roots at
-    x = -1 (K on the i pi/2 lattice).  Deflating them exactly keeps the
-    iterative finders on well-separated roots.
+    x = -1 (K on the i pi/2 lattice).  The remaining polynomial keeps every
+    other root, well separated for Aberth.
     """
-    roots: list[complex] = []
-    c = c.copy()
+    c = np.asarray(coeffs, dtype=np.complex128)
+    nz = np.nonzero(c)[0]
+    if nz.size == 0:
+        raise ValueError("zero polynomial has no well-defined roots")
+    if len(c) - 1 > POLY_DEGREE_CAP:
+        raise ValueError(f"degree {len(c) - 1} exceeds cap {POLY_DEGREE_CAP}")
+    c = c[nz[0] : nz[-1] + 1]
+    exact = [0j] * int(nz[0])
     for unit in (1.0, -1.0):
         while len(c) > 1:
             signs = unit ** np.arange(len(c))
@@ -300,54 +295,76 @@ def _deflate_exact_units(c: np.ndarray) -> tuple[np.ndarray, list[complex]]:
                 acc = c[k] + unit * acc
                 out[k - 1] = acc
             c = out
-            roots.append(complex(unit))
-    return c, roots
+            exact.append(complex(unit))
+    return np.array(exact, dtype=np.complex128), c
 
 
-def roots_of_polynomial(coeffs, method: str = "aberth") -> np.ndarray:
+def roots_of_polynomial(coeffs) -> np.ndarray:
     """Roots (with multiplicity) of a low-to-high coefficient polynomial.
 
-    Trailing zero coefficients become exact roots at the origin and exact
-    roots at +-1 are deflated first; the root count equals the polynomial
-    degree.  Output is sorted by (re, im).
+    The exact roots at the origin and at +-1 are split off first and the rest
+    found by Aberth-Ehrlich; the root count equals the polynomial degree.
+    Output is sorted by (re, im).
     """
-    c = np.asarray(coeffs, dtype=np.complex128)
-    nz = np.nonzero(c)[0]
-    if nz.size == 0:
-        raise ValueError("zero polynomial has no well-defined roots")
-    if len(c) - 1 > POLY_DEGREE_CAP:
-        raise ValueError(f"degree {len(c) - 1} exceeds cap {POLY_DEGREE_CAP}")
-    lead, trail = nz[-1], nz[0]
-    stripped, unit_roots = _deflate_exact_units(c[trail : lead + 1])
-    if len(stripped) == 1:
-        finite = np.zeros(0, dtype=np.complex128)
-    elif method == "aberth":
-        finite = aberth_roots(stripped)
-    elif method == "companion":
-        finite = companion_roots(stripped)
-    else:
-        raise ValueError(f"unknown root-finding method {method!r}")
-    out = np.concatenate(
-        [np.zeros(trail, dtype=np.complex128), np.array(unit_roots, dtype=np.complex128), finite]
-    )
+    exact, stripped = _split_exact_roots(coeffs)
+    out = np.concatenate([exact, aberth_roots(stripped)])
     return out[np.lexsort((out.imag, out.real))]
 
 
-def polynomial_roots(
-    dos: DensityOfStates,
-    which: str = "fisher",
-    fixed_other_param: complex = 0j,
-    method: str = "aberth",
+def inclusion_radii(coeffs, roots) -> np.ndarray:
+    """Weierstrass inclusion radius of each root from roots_of_polynomial(coeffs).
+
+    Exact roots (origin and deflated +-1) get radius 0.  Every other root z_i
+    of the remaining degree-d polynomial p gets
+    d (|p(z_i)| + Horner rounding bound) / |c_d prod_{j != i} (z_i - z_j)|.
+    The union of these discs holds every root, and a disc disjoint from all
+    others holds exactly one (Bini & Fiorentino, Numer. Algorithms 23, 2000).
+    The rounding bound is 8 d u sum_k |c_k| |z_i|^k, twice the usual complex
+    Horner bound.  O(d^2).
+    """
+    exact, c = _split_exact_roots(coeffs)
+    roots = np.asarray(roots, dtype=np.complex128)
+    approx = ~np.isin(roots, exact)
+    d = len(c) - 1
+    if np.count_nonzero(approx) != d:
+        raise ValueError("roots do not belong to these coefficients")
+    z = roots[approx]
+    rounding = 4 * d * np.finfo(np.float64).eps * _horner(np.abs(c), np.abs(z))
+    gaps = np.abs(z[:, None] - z[None, :])
+    np.fill_diagonal(gaps, 1.0)
+    radii = np.zeros(len(roots))
+    with np.errstate(divide="ignore", over="ignore"):
+        log_den = math.log(abs(c[-1])) + np.sum(np.log(gaps), axis=1)
+        radii[approx] = d * (np.abs(_horner(c, z)) + rounding) * np.exp(-log_den)
+    return radii
+
+
+def discs_disjoint(roots, radii) -> bool:
+    """True when the inclusion discs of the inexact roots (radius > 0) are pairwise disjoint."""
+    keep = np.asarray(radii) > 0
+    z, r = np.asarray(roots)[keep], np.asarray(radii)[keep]
+    gap = np.abs(z[:, None] - z[None, :]) - r[:, None] - r[None, :]
+    np.fill_diagonal(gap, np.inf)
+    return bool(np.all(gap > 0))
+
+
+def polynomial_coefficients(
+    dos: DensityOfStates, which: str = "fisher", fixed_other_param: complex = 0j
 ) -> np.ndarray:
-    """Roots of Z as a polynomial in x = e^{-2K} (fisher, fixed H) or
-    z = e^{-2H} (lee_yang, fixed K)."""
+    """Z as a polynomial in x = e^{-2K} (fisher, fixed H) or z = e^{-2H}
+    (lee_yang, fixed K), low-to-high coefficients."""
     if which == "fisher":
-        coeffs = dos.fisher_coefficients(H=fixed_other_param)
-    elif which == "lee_yang":
-        coeffs = dos.lee_yang_coefficients(K=fixed_other_param)
-    else:
-        raise ValueError(f"unknown zero family {which!r}")
-    return roots_of_polynomial(coeffs, method=method)
+        return dos.fisher_coefficients(H=fixed_other_param)
+    if which == "lee_yang":
+        return dos.lee_yang_coefficients(K=fixed_other_param)
+    raise ValueError(f"unknown zero family {which!r}")
+
+
+def polynomial_roots(
+    dos: DensityOfStates, which: str = "fisher", fixed_other_param: complex = 0j
+) -> np.ndarray:
+    """Roots of polynomial_coefficients(dos, which, fixed_other_param)."""
+    return roots_of_polynomial(polynomial_coefficients(dos, which, fixed_other_param))
 
 
 def map_roots(roots, window: GridSpec, variable: str = "K") -> list[complex]:
@@ -371,9 +388,6 @@ def map_roots(roots, window: GridSpec, variable: str = "K") -> list[complex]:
             out.append(base + 1j * math.pi * k)
     out.sort(key=lambda w: (w.real, w.imag))
     return out
-
-
-RESCALE_VARIABLES = ("x", "tanh_k", "sinh_2k")
 
 
 def rescale_from_x(x, variable: str):

@@ -69,10 +69,16 @@ class TestZeros:
         doc = json.loads((tmp_path / "z.json").read_text())
         assert doc["zero_family"] == "fisher"
         assert len(doc["roots_in_window"]) == doc["n_minima"] == 8
-        assert doc["companion_max_disagreement"] < 1e-8
+        assert doc["discs_disjoint"] is True
+        assert len(doc["inclusion_radius"]) == len(doc["polynomial_roots"])
+        assert max(doc["inclusion_radius"]) < 1e-8
         for m in doc["matches"]:
             assert m["minimum_cell_distance"] <= 1.0
-            assert m["newton_distance"] < 1e-8
+        roots = [tuple(r) for r in doc["roots_in_window"]]
+        assert len(doc["refined"]) == doc["n_minima"]
+        for r in doc["refined"]:
+            assert tuple(r["location"]) in roots and r["cell_distance"] <= 1.0
+            assert r["method"] == "polynomial" and r["iterations"] == 0
         assert doc["rescale_variable"] == "sinh_2k"
         assert doc["origin_root_multiplicity"] == 3
 
@@ -199,6 +205,16 @@ class TestErrors:
         assert run(["--task", "noise", "--model", "cylinder:3x2", "--res", "6x6",
                     "--shots", "0", "--out", tmp_path / "n"]) == 2
         assert list(tmp_path.iterdir()) == []
+
+    def test_noise_dos_failure_before_scan(self, tmp_path, monkeypatch, capsys):
+        # 8x8 counts pass the exact float64 range; that is known before any scan
+        def refuse(*args, **kwargs):
+            raise AssertionError("the scan ran before the exact zeros were found")
+        monkeypatch.setattr("pfzeros.cli.scan", refuse)
+        assert run(["--task", "noise", "--model", "cylinder:8x8", "--res", "100x100",
+                    "--out", tmp_path / "n"]) == 4
+        assert capsys.readouterr().err.startswith("numerical failure:")
+        assert not (tmp_path / "n_true.csv").exists()
 
     @pytest.mark.parametrize("draws", ["0", "-1"])
     def test_verify_without_draws_is_config_error(self, tmp_path, capsys, draws):

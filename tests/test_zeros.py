@@ -1,6 +1,7 @@
 import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
@@ -12,8 +13,12 @@ from pfzeros.oracle import density_of_states
 from pfzeros.zeros import (
     GridSpec,
     ScanGrid,
+    _split_exact_roots,
+    discs_disjoint,
     find_minima,
+    inclusion_radii,
     map_roots,
+    polynomial_coefficients,
     polynomial_roots,
     refine_newton,
     rescale_from_x,
@@ -27,6 +32,13 @@ def match_multisets(a, b):
     cost = np.abs(np.asarray(a)[:, None] - np.asarray(b)[None, :])
     r, c = linear_sum_assignment(cost)
     return float(cost[r, c].max())
+
+
+def companion_roots(coeffs):
+    """Reference roots: numpy.roots (companion-matrix eigenvalues) on the same
+    zero-stripped, +-1-deflated coefficients that roots_of_polynomial uses."""
+    exact, stripped = _split_exact_roots(coeffs)
+    return np.concatenate([exact, np.roots(stripped[::-1])])
 
 
 class TestScan:
@@ -126,14 +138,14 @@ class TestPolynomialRoots:
         for _ in range(15):
             deg = int(rng.integers(2, 24))
             c = rng.normal(size=deg + 1) + 1j * rng.normal(size=deg + 1)
-            a = roots_of_polynomial(c, "aberth")
-            b = roots_of_polynomial(c, "companion")
+            a = roots_of_polynomial(c)
+            b = companion_roots(c)
             assert match_multisets(a, b) < 1e-8
 
     def test_3x3_multiset_stability(self):
         dos = density_of_states(build_cylinder(3, 3, -0.2, -0.2))
-        a = polynomial_roots(dos, "fisher", 0j, method="aberth")
-        b = polynomial_roots(dos, "fisher", 0j, method="companion")
+        a = polynomial_roots(dos, "fisher", 0j)
+        b = companion_roots(polynomial_coefficients(dos, "fisher", 0j))
         assert len(a) == dos.bond_count  # degree with multiplicity
         assert match_multisets(a, b) < 1e-8
 
@@ -162,6 +174,78 @@ class TestPolynomialRoots:
     def test_zero_polynomial(self):
         with pytest.raises(ValueError):
             roots_of_polynomial(np.zeros(4))
+
+
+def exactly_deflated_roots(dos, dps=50):
+    """Roots of the integer H = 0 Fisher polynomial: origin and +-1 roots by
+    exact integer division, the rest by mpmath.polyroots at dps digits."""
+    c = [int(v) for v in dos.table.sum(axis=1)]
+    exact = []
+    while c[0] == 0:
+        c.pop(0)
+        exact.append(0j)
+    for unit in (1, -1):
+        while len(c) > 1 and sum(ck * unit**k for k, ck in enumerate(c)) == 0:
+            out, acc = [0] * (len(c) - 1), 0
+            for k in range(len(c) - 1, 0, -1):  # synthetic division by (x - unit)
+                acc = c[k] + unit * acc
+                out[k - 1] = acc
+            c = out
+            exact.append(complex(unit))
+    with mpmath.workdps(dps):
+        finite = mpmath.polyroots(c[::-1], maxsteps=400, extraprec=4 * dps)
+    return exact, finite
+
+
+class TestInclusionDiscs:
+    @pytest.mark.parametrize("size", [3, 4])
+    def test_one_exact_root_in_each_disc(self, size):
+        dos = density_of_states(build_cylinder(size, size, -0.2, -0.2))
+        coeffs = polynomial_coefficients(dos, "fisher", 0j)
+        roots = roots_of_polynomial(coeffs)
+        radii = inclusion_radii(coeffs, roots)
+        exact, finite = exactly_deflated_roots(dos)
+        assert sorted(roots[radii == 0].tolist(), key=lambda w: (w.real, w.imag)) == \
+            sorted(exact, key=lambda w: (w.real, w.imag))
+        with mpmath.workdps(50):
+            for z, r in zip(roots[radii > 0], radii[radii > 0]):
+                inside = [x for x in finite if abs(x - mpmath.mpc(z.real, z.imag)) <= r]
+                assert len(inside) == 1, f"disc at {z:.6g} of radius {r:.2e} holds {len(inside)} roots"
+        assert discs_disjoint(roots, radii)
+
+    @pytest.mark.parametrize(
+        "model, which, fixed",
+        [(build_cylinder(n, n, -0.2, -0.2), "fisher", 0j) for n in (3, 4, 5, 6, 7)]
+        + [
+            (build_chain(6, periodic=True, K=-0.2), "fisher", 0j),
+            (build_cylinder(4, 3, -0.2, -0.2), "fisher", 0.1 + 0.2j),
+            (build_cylinder(3, 3, -0.3, -0.3), "lee_yang", -0.3),
+        ],
+        ids=["3x3", "4x4", "5x5", "6x6", "7x7", "chain6-periodic", "4x3-complex-H", "3x3-lee-yang"],
+    )
+    def test_discs_disjoint(self, model, which, fixed):
+        coeffs = polynomial_coefficients(density_of_states(model), which, fixed)
+        roots = roots_of_polynomial(coeffs)
+        radii = inclusion_radii(coeffs, roots)
+        assert np.all(np.isfinite(radii))
+        assert discs_disjoint(roots, radii)
+
+    def test_exact_roots_have_radius_zero(self):
+        # (x+1)^2 (x-1) x^2 (x - 0.5): only the root at 0.5 needs a disc
+        c = np.poly1d([1, 1]) ** 2 * np.poly1d([1, -1]) * np.poly1d([1, 0, 0]) * np.poly1d([2, -1])
+        coeffs = np.array(c.coefficients[::-1], dtype=complex)
+        roots = roots_of_polynomial(coeffs)
+        radii = inclusion_radii(coeffs, roots)
+        assert np.count_nonzero(radii) == 1
+        assert abs(roots[radii > 0][0] - 0.5) <= radii[radii > 0][0] < 1e-12
+
+    def test_overlapping_discs_not_disjoint(self):
+        assert not discs_disjoint(np.array([0.0, 1e-3]), np.array([1e-3, 1e-3]))
+        assert discs_disjoint(np.array([0.0, 0.0, 1.0]), np.array([0.0, 0.0, 0.1]))
+
+    def test_roots_of_other_coefficients_rejected(self):
+        with pytest.raises(ValueError):
+            inclusion_radii(np.array([0.0, 1.0, 1.0]), np.array([0.5 + 0j]))
 
 
 class TestMapRoots:
@@ -237,8 +321,8 @@ class TestRootScanConsistency:
 class TestComplexFixedParameter:
     def test_lee_yang_roots_at_complex_coupling(self):
         dos = density_of_states(build_cylinder(3, 2, -0.2 + 0.15j, -0.2 + 0.15j))
-        a = polynomial_roots(dos, "lee_yang", -0.2 + 0.15j, method="aberth")
-        b = polynomial_roots(dos, "lee_yang", -0.2 + 0.15j, method="companion")
+        a = polynomial_roots(dos, "lee_yang", -0.2 + 0.15j)
+        b = companion_roots(polynomial_coefficients(dos, "lee_yang", -0.2 + 0.15j))
         assert len(a) == 6  # degree N
         assert match_multisets(a, b) < 1e-8
 
