@@ -1,9 +1,8 @@
 """Grid evaluators connecting models/backends to complex-plane scans.
 
 Every evaluator yields ln of the scanned quantity (|Z|^2 for oracle backends,
-the return probability L for protocol backends) at scan-plane points.  Grid
-evaluators offer only a vectorized `evaluate_grid(mesh)`; the circuit
-evaluator is a plain callable of one point, the pointwise path of `scan`.
+the return probability L for protocol backends) at scan-plane points.  Every
+evaluator offers only `evaluate_grid(mesh)`; the circuit evaluator batches it.
 Plane conventions:
 
 * Fisher planes: "x" scans x = e^{-2K} and strips the e^{K B} prefactor (the
@@ -199,11 +198,24 @@ class KickedFieldPlaneEvaluator:
         return _kicked_log_L(self.n_circ, self.l_len, Kx, ky, H).reshape(mesh.shape)
 
 
-class GeneralCircuitEvaluator:
-    """ln L of the compiled general-scheme circuit, one compile per point.
+# Register amplitudes per block of points.  Blocks of 2^14 (256 KiB) leave no
+# heap growth behind; 4x larger ones scan the 3x3 cylinder 10 % faster but raise
+# the peak RSS of a later 21-qubit register in the same process by 0.3-0.5 MB.
+_AMPLITUDE_BUDGET = 1 << 14
 
-    model_factory maps a scan point to an IsingModel.  Pointwise and slow;
-    meant for small cross-check windows rather than bulk scans.
+
+def _log_probability(amplitude: complex) -> float:
+    """ln L = 2 ln|amplitude| of one point, -inf at an exact zero."""
+    return 2.0 * math.log(abs(amplitude)) if amplitude != 0 else float("-inf")
+
+
+class GeneralCircuitEvaluator:
+    """ln L of the compiled general-scheme circuit; model_factory maps a scan
+    point to an IsingModel.  Points whose circuits share a structure (roles,
+    gate kinds and qubits, gadgets; an exactly vanishing term drops its gadget)
+    are simulated as one batch, in blocks of about _AMPLITUDE_BUDGET register
+    amplitudes.  A point without a model (x = 0, tanhK = +-1) is NaN; a
+    register over its cap raises CapExceededError before it is allocated.
     """
 
     def __init__(self, model_factory, backend: str = "streamed"):
@@ -212,14 +224,36 @@ class GeneralCircuitEvaluator:
         self.model_factory = model_factory
         self.backend = backend
 
-    def __call__(self, w: complex) -> float:
-        model = self.model_factory(w)
-        if self.backend == "effective":
-            amp = run_effective(model).amplitude
-        else:
+    def evaluate_grid(self, mesh: np.ndarray) -> np.ndarray:
+        values = np.full(mesh.size, np.nan)
+        groups: dict[tuple, tuple] = {}  # structure -> (first circuit, indices, angle rows)
+        pending = 0
+        for i, w in enumerate(mesh.ravel()):
+            try:
+                model = self.model_factory(complex(w))
+            except ValueError:
+                continue
+            if self.backend == "effective":
+                values[i] = _log_probability(run_effective(model).amplitude)
+                continue
             circ = compile_general(model)
-            amp = (run_full(circ) if self.backend == "full" else run_streamed(circ)).amplitude
-        return 2.0 * math.log(abs(amp)) if amp != 0 else float("-inf")
+            key = (circ.roles, tuple((g.kind, g.qubits) for g in circ.gates), circ.gadgets)
+            _, index, angles = groups.setdefault(key, (circ, [], []))
+            index.append(i)
+            angles.append([g.angle for g in circ.gates])
+            pending += 1 << (circ.n_qubits if self.backend == "full" else circ.n_physical + 1)
+            if pending >= _AMPLITUDE_BUDGET:
+                self._simulate(groups, values)
+                pending = 0
+        self._simulate(groups, values)
+        return values.reshape(mesh.shape)
+
+    def _simulate(self, groups: dict, values: np.ndarray) -> None:
+        run = run_full if self.backend == "full" else run_streamed
+        for template, index, angles in groups.values():
+            for i, res in zip(index, run(template, angles=np.array(angles).T)):
+                values[i] = _log_probability(res.amplitude)
+        groups.clear()
 
 
 @dataclass(frozen=True)

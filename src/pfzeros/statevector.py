@@ -10,7 +10,9 @@ Three interchangeable backends produce the return amplitude/probability:
                    directly as non-unitary elementwise factors (overlap * 2^N = Z)
 
 Amplitude layout is little-endian: qubit q owns bit q of the basis index, and
-bit 0 means spin up (s = +1).
+bit 0 means spin up (s = +1).  The one gate kernel acts on amp[state, point]
+with one angle per point: run_full and run_streamed simulate a batch of
+circuits that differ only in their angles, a single circuit being one point.
 """
 
 from __future__ import annotations
@@ -37,6 +39,28 @@ _INIT_AMPLITUDES = {
 }
 
 
+def _product_support(roles: tuple[QubitRole, ...]) -> tuple[tuple, float]:
+    """Index of the product state's support in the (2,)*n view, and its amplitude."""
+    z = [r is QubitRole.ANCILLA_Z for r in reversed(roles)]
+    return tuple(0 if zq else slice(None) for zq in z), 2.0 ** (-(len(z) - sum(z)) / 2.0)
+
+
+def _product_amplitudes(roles: tuple[QubitRole, ...], n_points: int) -> np.ndarray:
+    """amp[state, point] of the product initial state at every point."""
+    sel, value = _product_support(roles)
+    amp = np.zeros((1 << len(roles), n_points), dtype=np.complex128)
+    amp.reshape((2,) * len(roles) + (n_points,))[sel] = value
+    return amp
+
+
+def _overlaps(amp: np.ndarray, roles: tuple[QubitRole, ...]) -> list[complex]:
+    """<psi0|psi> per point of amp[state(, point)], each point summed over its row
+    of a contiguous (points, states) copy: the order of a one-point register."""
+    sel, value = _product_support(roles)
+    rows = np.ascontiguousarray(amp.reshape(1 << len(roles), -1).T)
+    return [complex(row.reshape((2,) * len(roles))[sel].sum() * value) for row in rows]
+
+
 class StateVector:
     """Dense complex amplitudes over 2^n basis states; single-writer."""
 
@@ -51,14 +75,7 @@ class StateVector:
 
     @classmethod
     def product_state(cls, roles: tuple[QubitRole, ...]) -> "StateVector":
-        n = len(roles)
-        amp = np.zeros(1 << n, dtype=np.complex128)
-        n_x = sum(1 for r in roles if r is not QubitRole.ANCILLA_Z)
-        sel = tuple(
-            0 if roles[n - 1 - ax] is QubitRole.ANCILLA_Z else slice(None) for ax in range(n)
-        )
-        amp.reshape((2,) * n)[sel] = 2.0 ** (-n_x / 2.0)
-        return cls(n, amp)
+        return cls(len(roles), _product_amplitudes(roles, 1).reshape(-1))
 
     def copy(self) -> "StateVector":
         return StateVector(self.n_qubits, self.amp.copy())
@@ -68,54 +85,66 @@ class StateVector:
 
     def overlap_with_product(self, roles: tuple[QubitRole, ...]) -> complex:
         """<psi0|psi> for the product initial state defined by the roles."""
-        n = self.n_qubits
-        n_x = sum(1 for r in roles if r is not QubitRole.ANCILLA_Z)
-        sel = tuple(
-            0 if roles[n - 1 - ax] is QubitRole.ANCILLA_Z else slice(None) for ax in range(n)
-        )
-        return complex(self.amp.reshape((2,) * n)[sel].sum() * 2.0 ** (-n_x / 2.0))
+        return _overlaps(self.amp, roles)[0]
 
 
 def _axis_view(amp: np.ndarray, n: int, qubits: tuple[int, ...]) -> np.ndarray:
-    """View with the given qubits moved to the leading axes (bit q -> axis)."""
-    a = amp.reshape((2,) * n)
+    """View of amp[state(, point)] with the given qubits moved to the leading
+    axes (bit q -> axis), the point axis last."""
+    a = amp.reshape((2,) * n + (-1,))
     return np.moveaxis(a, [n - 1 - q for q in qubits], range(len(qubits)))
 
 
-def apply_gate(state: StateVector, gate: Gate) -> StateVector:
-    """Apply one gate in place.  zz/zrot are diagonal phase passes; xx/xrot
-    mix amplitude pairs along the qubit axes."""
-    n, th = state.n_qubits, gate.angle
-    for q in gate.qubits:
+def _rotate(x: np.ndarray, phase: np.ndarray, single: bool) -> None:
+    """x *= phase in place.  Where the gate spans the whole register (single),
+    each point holds one amplitude, which a one-point register multiplies as a
+    numpy scalar, rounding each real product apart; numpy's vector loops fuse
+    them, so it is spelled out to keep a point's bits independent of its batch."""
+    if single:
+        re = x.real * phase.real - x.imag * phase.imag
+        x.imag = x.real * phase.imag + x.imag * phase.real
+        x.real = re
+    else:
+        x *= phase
+
+
+def _apply(amp: np.ndarray, n: int, kind: str, qubits: tuple[int, ...], th: np.ndarray) -> None:
+    """Apply one gate in place to amp[state, point], with angle th[point] at
+    each point.  zz/zrot are diagonal phase passes; xx/xrot mix amplitude
+    pairs along the qubit axes."""
+    for q in qubits:
         if not 0 <= q < n:
             raise ValueError(f"gate qubit {q} out of range for {n} qubits")
-    if gate.kind == "zz":
-        v = _axis_view(state.amp, n, gate.qubits)
+    v = _axis_view(amp, n, qubits)
+    single = len(qubits) == n
+    if kind == "zz":
         pm, pp = np.exp(-1j * th), np.exp(1j * th)
-        v[0, 0] *= pm
-        v[1, 1] *= pm
-        v[0, 1] *= pp
-        v[1, 0] *= pp
-    elif gate.kind == "zrot":
-        v = _axis_view(state.amp, n, gate.qubits)
-        v[0] *= np.exp(-1j * th)
-        v[1] *= np.exp(1j * th)
-    elif gate.kind == "xx":
-        v = _axis_view(state.amp, n, gate.qubits)
-        c, s = math.cos(th), math.sin(th)
+        _rotate(v[0, 0], pm, single)
+        _rotate(v[1, 1], pm, single)
+        _rotate(v[0, 1], pp, single)
+        _rotate(v[1, 0], pp, single)
+    elif kind == "zrot":
+        _rotate(v[0], np.exp(-1j * th), single)
+        _rotate(v[1], np.exp(1j * th), single)
+    elif kind == "xx":
+        c, s = np.cos(th), np.sin(th)
         n00 = c * v[0, 0] - 1j * s * v[1, 1]
         n11 = c * v[1, 1] - 1j * s * v[0, 0]
         n01 = c * v[0, 1] - 1j * s * v[1, 0]
         n10 = c * v[1, 0] - 1j * s * v[0, 1]
         v[0, 0], v[1, 1], v[0, 1], v[1, 0] = n00, n11, n01, n10
-    elif gate.kind == "xrot":
-        v = _axis_view(state.amp, n, gate.qubits)
-        c, s = math.cos(th), math.sin(th)
+    elif kind == "xrot":
+        c, s = np.cos(th), np.sin(th)
         n0 = c * v[0] - 1j * s * v[1]
         n1 = c * v[1] - 1j * s * v[0]
         v[0], v[1] = n0, n1
     else:  # pragma: no cover - Gate.__post_init__ rejects unknown kinds
-        raise ValueError(f"unknown gate kind {gate.kind!r}")
+        raise ValueError(f"unknown gate kind {kind!r}")
+
+
+def apply_gate(state: StateVector, gate: Gate) -> StateVector:
+    """Apply one gate in place: the one-point case of the batched kernel."""
+    _apply(state.amp, state.n_qubits, gate.kind, gate.qubits, np.array([gate.angle]))
     return state
 
 
@@ -137,58 +166,82 @@ class OverlapResult:
         return abs(self.amplitude) ** 2
 
 
-def run_full(circuit: Circuit, cap: int = MEMORY_QUBIT_CAP) -> OverlapResult:
+def _gate_angles(circuit: Circuit, angles) -> np.ndarray:
+    """(gates, points) angles: the circuit's own as one point, or the given table."""
+    if angles is None:
+        return np.array([g.angle for g in circuit.gates], dtype=np.float64).reshape(-1, 1)
+    th = np.array(angles, dtype=np.float64)
+    if th.ndim != 2 or len(th) != len(circuit.gates):
+        raise ValueError(f"angles must have shape ({len(circuit.gates)}, n_points)")
+    return th
+
+
+def _results(amplitudes: list[complex], angles):
+    results = [OverlapResult(a) for a in amplitudes]
+    return results[0] if angles is None else results
+
+
+def run_full(circuit: Circuit, cap: int = MEMORY_QUBIT_CAP, angles=None):
     """Evolve the full register (physical + ancillas) and overlap with |psi0>.
 
     The single ancilla projections of all gadgets are deferred to this final
-    overlap, which is exact by the single-use-ancilla invariant.
+    overlap, which is exact by the single-use-ancilla invariant.  With angles
+    of shape (n_gates, n_points), simulates one circuit of this structure per
+    point and returns a list of their OverlapResults.
     """
-    return OverlapResult(final_state(circuit, cap).overlap_with_product(circuit.roles))
+    return _results(_overlaps(_evolve_full(circuit, cap, angles), circuit.roles), angles)
+
+
+def _evolve_full(circuit: Circuit, cap: int, angles) -> np.ndarray:
+    if circuit.n_qubits > cap:
+        raise CapExceededError(f"{circuit.n_qubits} qubits exceeds full-register cap {cap}")
+    th = _gate_angles(circuit, angles)
+    amp = _product_amplitudes(circuit.roles, th.shape[1])
+    for gate, angle in zip(circuit.gates, th):
+        _apply(amp, circuit.n_qubits, gate.kind, gate.qubits, angle)
+    return amp
 
 
 def final_state(circuit: Circuit, cap: int = MEMORY_QUBIT_CAP) -> StateVector:
     """Full-register state after all gates (for sampling and inspection)."""
-    if circuit.n_qubits > cap:
-        raise CapExceededError(f"{circuit.n_qubits} qubits exceeds full-register cap {cap}")
-    state = StateVector.product_state(circuit.roles)
-    for gate in circuit.gates:
-        apply_gate(state, gate)
-    return state
+    return StateVector(circuit.n_qubits, _evolve_full(circuit, cap, None).reshape(-1))
 
 
-def run_streamed(circuit: Circuit) -> OverlapResult:
+def run_streamed(circuit: Circuit, angles=None):
     """Evaluate keeping only the physical register plus one ancilla workspace.
 
     Per gadget: attach a fresh ancilla in its initial state, apply the gadget
     gates, project onto the initial state, and contract it out.  Nothing is
     renormalized; the accumulated amplitude is the measured joint amplitude
-    and matches run_full exactly.
+    and matches run_full exactly.  angles batches points as in run_full.
     """
     n_phys = circuit.n_physical
     if any(r is not QubitRole.PHYSICAL for r in circuit.roles[:n_phys]):
         raise ValueError("streamed backend expects physical qubits at indices 0..n_phys-1")
+    if n_phys + 1 > MEMORY_QUBIT_CAP:
+        raise CapExceededError(f"{n_phys} qubits and an ancilla exceed the cap {MEMORY_QUBIT_CAP}")
+    th = _gate_angles(circuit, angles)
     phys_roles = circuit.roles[:n_phys]
-    state = StateVector.product_state(phys_roles)
+    amp = _product_amplitudes(phys_roles, th.shape[1])
     half = 1 << n_phys
+    ext = np.empty((2 * half, th.shape[1]), dtype=np.complex128)
     span_of = {g.span[0]: g for g in circuit.gadgets}
     idx = 0
     while idx < len(circuit.gates):
         gadget = span_of.get(idx)
         if gadget is None:
-            apply_gate(state, circuit.gates[idx])
+            _apply(amp, n_phys, circuit.gates[idx].kind, circuit.gates[idx].qubits, th[idx])
             idx += 1
             continue
         c0, c1 = _INIT_AMPLITUDES[circuit.roles[gadget.ancilla]]
-        ext = StateVector(n_phys + 1, np.empty(2 * half, dtype=np.complex128))
-        ext.amp[:half] = c0 * state.amp
-        ext.amp[half:] = c1 * state.amp
+        ext[:half] = c0 * amp
+        ext[half:] = c1 * amp
         for k in range(*gadget.span):
-            g = circuit.gates[k]
-            qubits = tuple(n_phys if q == gadget.ancilla else q for q in g.qubits)
-            apply_gate(ext, Gate(g.kind, qubits, g.angle))
-        state.amp = np.conj(c0) * ext.amp[:half] + np.conj(c1) * ext.amp[half:]
+            qubits = tuple(n_phys if q == gadget.ancilla else q for q in circuit.gates[k].qubits)
+            _apply(ext, n_phys + 1, circuit.gates[k].kind, qubits, th[k])
+        amp = np.conj(c0) * ext[:half] + np.conj(c1) * ext[half:]
         idx = gadget.span[1]
-    return OverlapResult(state.overlap_with_product(phys_roles))
+    return _results(_overlaps(amp, phys_roles), angles)
 
 
 def run_effective(model: IsingModel, cap: int = MEMORY_QUBIT_CAP) -> OverlapResult:

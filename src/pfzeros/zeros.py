@@ -72,11 +72,11 @@ class ScanGrid:
 def scan(evaluator, spec: GridSpec) -> ScanGrid:
     """Dense evaluation of a log-scale evaluator over the grid.
 
-    A grid evaluator offers only `evaluate_grid(mesh)`, which maps the whole
-    mesh to ln of the scanned quantity (|Z|^2 or L) in one call.  Any other
-    evaluator is a plain callable mapping one complex point to that value; it
-    is called point by point in row-major order on the calling thread,
-    failures at single points are recorded as NaN and the scan continues.
+    Every evaluator of the package offers `evaluate_grid(mesh)`, which maps
+    the whole mesh to ln of the scanned quantity (|Z|^2 or L) in one call and
+    lets its errors propagate.  A plain callable mapping one complex point to
+    that value is called point by point in row-major order; its failures at
+    single points are recorded as NaN and the scan continues.
     """
     mesh = spec.mesh()
     if hasattr(evaluator, "evaluate_grid"):

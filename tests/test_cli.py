@@ -222,6 +222,20 @@ class TestErrors:
         assert capsys.readouterr().err.startswith("error:")
         assert not (tmp_path / "v.json").exists()
 
+    @pytest.mark.parametrize("backend, model", [
+        ("full", "cylinder:4x4"),  # 44 qubits in one register
+        ("streamed", "cylinder:6x6"),  # 36 physical qubits plus the ancilla
+        ("effective", "cylinder:6x6"),  # 2^36 configurations to enumerate
+    ])
+    def test_circuit_scan_cap_is_numerical_failure(self, tmp_path, capsys, backend, model):
+        # the cap holds at every point, so the scan fails at once instead of writing NaN
+        assert run(["--task", "scan", "--backend", backend, "--model", model, "--res", "2x2",
+                    "--out", tmp_path / "cap"]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure:")
+        assert "Traceback" not in err
+        assert not (tmp_path / "cap.csv").exists()
+
     def test_dos_count_range_is_numerical_failure(self, tmp_path):
         # from 8x8 on, density-of-states counts pass 2^53, the exact float64 range
         proc = subprocess.run(

@@ -178,6 +178,28 @@ class TestRunBackends:
         with pytest.raises(CapExceededError):
             run_full(circ)
 
+    def test_streamed_register_cap(self):
+        # 26 physical qubits plus the ancilla workspace pass the cap of 26
+        with pytest.raises(CapExceededError):
+            run_streamed(Circuit((PHYS,) * 26, (), 0.0, ()))
+        assert run_streamed(Circuit((PHYS,) * 3, (), 0.0, ())).probability == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("backend", [run_full, run_streamed])
+    def test_batched_angles_match_single_circuits(self, rng, backend):
+        # one structure, per-point angles: each point equals its own circuit, bit for bit
+        bonds = [(0, 1), (1, 2), (0, 2)]
+        circuits = [
+            compile_general(from_edge_list(
+                3, [(i, j, random_complex(rng, 0.6)) for i, j in bonds],
+                [(i, random_complex(rng, 0.4)) for i in range(3)]))
+            for _ in range(7)
+        ]
+        angles = np.array([[g.angle for g in c.gates] for c in circuits]).T
+        batch = backend(circuits[0], angles=angles)
+        assert [r.amplitude for r in batch] == [backend(c).amplitude for c in circuits]
+        with pytest.raises(ValueError):
+            backend(circuits[0], angles=angles[1:])
+
 
 class TestSampling:
     def test_measurement_basis_roles(self):
