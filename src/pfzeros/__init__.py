@@ -10,11 +10,9 @@ from .circuits import (
     compile_general,
     compile_kicked,
     gadget_params_coupling,
-    gadget_params_field,
     kick_field_for_ky,
     kicked_log_factor,
     ky_for_kick_field,
-    ky_to_kick_field,
     resource_counts,
 )
 from .correlations import (
@@ -32,7 +30,6 @@ from .evaluators import (
     DosLeeYangEvaluator,
     KickedCalibration,
     KickedProbabilityEvaluator,
-    TransferFisherEvaluator,
     calibrate_kicked_relation,
 )
 from .model import (
@@ -58,17 +55,12 @@ from .oracle import (
     LogComplex,
     brute_force_Z,
     brute_force_Z_with_scale,
-    cached_density_of_states,
     correlation,
     density_of_states,
     transfer_matrix_Z,
 )
 from .statevector import (
     OverlapResult,
-    StateVector,
-    apply_gate,
-    dump_state,
-    load_state,
     measurement_basis,
     run_effective,
     run_full,

@@ -15,14 +15,11 @@ exp(-|c|), which the circuit tracks in log_prefactor.
 from __future__ import annotations
 
 import cmath
-import json
 import math
 from dataclasses import dataclass
 from enum import Enum
 
 from .model import IsingModel
-
-CIRCUIT_FORMAT_VERSION = 1
 
 # Calibrated constants of the kicked-protocol relation
 #   P_kicked = |sinh(2H)^{N(L-1)} / 2^{N(L+1)}| * |Z(K, Ky_eff)|^2
@@ -110,18 +107,6 @@ class Circuit:
             if role is not QubitRole.PHYSICAL and q not in usage:
                 raise AssertionError(f"ancilla {q} is not used by any gadget")
 
-    def to_json_dict(self) -> dict:
-        return {
-            "version": CIRCUIT_FORMAT_VERSION,
-            "roles": [r.value for r in self.roles],
-            "gates": [[g.kind, list(g.qubits), g.angle] for g in self.gates],
-            "log_prefactor": self.log_prefactor,
-            "gadgets": [[g.gadget_id, g.ancilla, list(g.span)] for g in self.gadgets],
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True, separators=(",", ":"))
-
 
 @dataclass(frozen=True)
 class GadgetParams:
@@ -143,16 +128,6 @@ def gadget_params_coupling(k_real: float) -> GadgetParams:
     return GadgetParams(kappa, math.copysign(kappa, k_real) if k_real else 0.0, abs(k_real))
 
 
-def gadget_params_field(h_real: float) -> GadgetParams:
-    """lambda = arccos(e^{-2|H^R|})/2, mu = +sgn(H^R) * lambda.
-
-    mu of this sign makes the projected gadget equal e^{-H^R s} exactly; the
-    opposite sign would realize e^{+H^R s}.  The angles are those of a
-    coupling gadget of strength H^R.
-    """
-    return gadget_params_coupling(h_real)
-
-
 class _Builder:
     def __init__(self, n_physical: int):
         self.roles = [QubitRole.PHYSICAL] * n_physical
@@ -172,10 +147,8 @@ class _Builder:
         self.gadgets.append(Gadget(len(self.gadgets), anc, (start, len(self.gates))))
         self.log_prefactor += log_weight
 
-    def coupling_block(self, i: int, j: int, K: complex, elide: bool) -> None:
+    def coupling_block(self, i: int, j: int, K: complex) -> None:
         self.gate("zz", (i, j), K.imag)
-        if elide and K.real == 0.0:
-            return
         p = gadget_params_coupling(K.real)
         self.gadget(
             QubitRole.ANCILLA_X,
@@ -183,22 +156,21 @@ class _Builder:
             p.log_weight,
         )
 
-    def field_block(self, i: int, H: complex, elide: bool) -> None:
+    def field_block(self, i: int, H: complex) -> None:
         self.gate("zrot", (i,), H.imag)
-        if elide and H.real == 0.0:
-            return
-        p = gadget_params_field(H.real)
+        # lambda = arccos(e^{-2|H^R|})/2 and mu = +sgn(H^R) * lambda, the angles of a
+        # coupling gadget of strength H^R: mu of this sign makes the projected
+        # gadget equal e^{-H^R s} exactly; the opposite sign would realize e^{+H^R s}.
+        p = gadget_params_coupling(H.real)
         self.gadget(
             QubitRole.ANCILLA_X,
             [("zz", (i, None), p.strength), ("zrot", (None,), p.partner)],
             p.log_weight,
         )
 
-    def transverse_block(self, i: int, H: complex, elide: bool) -> None:
+    def transverse_block(self, i: int, H: complex) -> None:
         self.gate("xrot", (i,), H.imag)
-        if elide and H.real == 0.0:
-            return
-        p = gadget_params_field(H.real)
+        p = gadget_params_coupling(H.real)
         self.gadget(
             QubitRole.ANCILLA_Z,
             [("xx", (i, None), p.strength), ("xrot", (None,), p.partner)],
@@ -216,20 +188,20 @@ class _Builder:
         return c
 
 
-def compile_general(model: IsingModel, elide_identity_gadgets: bool = False) -> Circuit:
+def compile_general(model: IsingModel) -> Circuit:
     """General-scheme circuit: |Z| = e^{log_prefactor} * |<psi0|U|psi0>|.
 
     Each bond compiles to zz(i,j,K^I) plus a two-gate x-ancilla gadget for
     e^{-K^R ss}; each field term to zrot(i,H^I) plus a gadget for e^{-H^R s}.
     log_prefactor = N ln2 + sum|K^R| + sum|H^R|.  Ancillas are allocated even
-    for vanishing real parts unless elide_identity_gadgets is set, so that
-    resource counts follow the 3NL-N / 6NL-3N accounting.
+    for vanishing real parts, so that resource counts follow the 3NL-N /
+    6NL-3N accounting.
     """
     b = _Builder(model.n_spins)
     for bond in model.bonds:
-        b.coupling_block(bond.i, bond.j, complex(bond.coupling), elide_identity_gadgets)
+        b.coupling_block(bond.i, bond.j, complex(bond.coupling))
     for term in model.fields:
-        b.field_block(term.i, complex(term.field), elide_identity_gadgets)
+        b.field_block(term.i, complex(term.field))
     return b.finish(extra_log_prefactor=model.n_spins * math.log(2.0))
 
 
@@ -272,29 +244,17 @@ def compile_kicked(
             raise ValueError("field probe out of range")
     for row in range(l_len):
         for (i, j) in ring_pairs(n_circ):
-            b.coupling_block(i, j, K, elide=False)
+            b.coupling_block(i, j, K)
         for (i, k, prow, delta) in coupling_probes:
             if prow == row:
-                b.coupling_block(i, k, complex(delta), elide=False)
+                b.coupling_block(i, k, complex(delta))
         for (i, prow, delta) in field_probes:
             if prow == row:
-                b.field_block(i, complex(delta), elide=False)
+                b.field_block(i, complex(delta))
         if row < l_len - 1:
             for q in range(n_circ):
-                b.transverse_block(q, H_kick, elide=False)
+                b.transverse_block(q, H_kick)
     return b.finish()
-
-
-def ky_to_kick_field(Ky: complex) -> complex:
-    """Principal-branch H with tanh(H) = e^{-2 Ky} (the nominal coupling map).
-
-    The calibrated protocol map carries an extra sign; see
-    kick_field_for_ky.  Branch-point inputs (e^{-2Ky} = +-1) are rejected.
-    """
-    w = cmath.exp(-2.0 * complex(Ky))
-    if min(abs(w - 1.0), abs(w + 1.0)) < 1e-12:
-        raise ValueError(f"e^(-2Ky) = {w:.6g} is a branch point of artanh")
-    return cmath.atanh(w)
 
 
 def kick_field_for_ky(Ky: complex) -> complex:

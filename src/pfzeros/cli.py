@@ -14,6 +14,7 @@ import cmath
 import json
 import math
 import sys
+import typing
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -117,14 +118,33 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunConfig":
+        hints = typing.get_type_hints(cls)
         try:
-            d = dict(d)
-            for key in ("window", "res", "fixed_k", "fixed_h"):
-                if d.get(key) is not None:
-                    d[key] = tuple(d[key])
+            d = {k: _checked_value(k, v, hints[k]) if k in hints else v for k, v in dict(d).items()}
             return cls(**d)
-        except TypeError as exc:  # unknown or missing keys, non-list values
+        except TypeError as exc:  # unknown or missing keys, a non-object config
             raise ValueError(f"malformed embedded config: {exc}") from None
+
+
+def _checked_value(key: str, value, hint):
+    """value if it has the config field's type (lists become tuples), else ValueError.
+
+    A float field also takes an int; bool never stands in for a number.
+    """
+    args = typing.get_args(hint)
+    if type(None) in args:  # optional field
+        if value is None:
+            return None
+        (hint,) = (a for a in args if a is not type(None))
+    if typing.get_origin(hint) is tuple:
+        items = typing.get_args(hint)
+        if not isinstance(value, (list, tuple)) or len(value) != len(items):
+            raise ValueError(f"config field {key!r} must be a list of {len(items)} numbers")
+        return tuple(_checked_value(key, v, t) for v, t in zip(value, items))
+    allowed = (int, float) if hint is float else (hint,)
+    if not isinstance(value, allowed) or (isinstance(value, bool) and hint is not bool):
+        raise ValueError(f"config field {key!r} must be {hint.__name__}, got {value!r}")
+    return value
 
 
 def _parse_complex_pair(text: str) -> tuple[float, float]:
@@ -190,7 +210,7 @@ def parse_model(spec: str, fixed_k: complex, fixed_h: complex) -> IsingModel:
         if len(dims) != 2:
             raise ValueError(f"cylinder model must be cylinder:NxL, got {spec!r}")
         n, l = int(dims[0]), int(dims[1])
-        return build_cylinder(n, l, fixed_k, fixed_k, fixed_h, merge_duplicate_bonds=n == 2)
+        return build_cylinder(n, l, fixed_k, fixed_k, fixed_h)
     if spec.startswith("chain:"):
         parts = spec.split(":")
         return build_chain(int(parts[1]), periodic="periodic" in parts[2:], K=fixed_k, H=fixed_h)
@@ -231,6 +251,8 @@ def make_evaluator(cfg: RunConfig, model: IsingModel):
         dims = _model_dims(model)
         if dims is None:
             raise ValueError("the kick-field plane needs a cylinder model")
+        if cfg.backend not in ("oracle", "kicked"):
+            raise ValueError("the kick-field plane takes the oracle or kicked backend")
         return KickedFieldPlaneEvaluator(dims[0], dims[1], fixed_k)
     if cfg.backend == "oracle":
         return _oracle_evaluator(cfg, density_of_states(model))
@@ -334,7 +356,7 @@ def cmd_scan(cfg: RunConfig) -> int:
     write_json(cfg.out + ".json", cfg, {
         "task": "scan",
         "plane": spec.plane_tag,
-        "value_kind": "ln L" if cfg.backend in ("kicked", "effective", "full", "streamed")
+        "value_kind": "ln L" if cfg.backend != "oracle" or spec.plane_tag == "kickH"
         else "ln |Z|^2 (prefactor-stripped in x/z planes)",
         "finite_cells": int(np.isfinite(grid.values).sum()),
     })

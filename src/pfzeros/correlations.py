@@ -85,10 +85,7 @@ class KickedSetup:
         return kick_field_for_ky(self.ky)
 
     def base_model(self) -> IsingModel:
-        return build_cylinder(
-            self.n_circ, self.l_len, self.kx, self.ky, self.h,
-            merge_duplicate_bonds=self.n_circ == 2,
-        )
+        return build_cylinder(self.n_circ, self.l_len, self.kx, self.ky, self.h)
 
     def _field_terms(self) -> tuple[tuple[int, int, complex], ...]:
         if self.h == 0:

@@ -109,41 +109,6 @@ class DosLeeYangEvaluator:
         return lambda w: _poly_eval_scaled(self.coeffs, np.exp(-2.0 * w))
 
 
-class TransferFisherEvaluator:
-    """Fisher planes via the row-to-row transfer oracle (isotropic Kx = Ky)."""
-
-    def __init__(self, n_circ: int, l_len: int, fixed_h: complex = 0j, plane: str = "x"):
-        if plane not in ("x", "K"):
-            raise ValueError("Fisher plane must be 'x' or 'K'")
-        self.n_circ, self.l_len = n_circ, l_len
-        self.fixed_h = complex(fixed_h)
-        self.plane = plane
-        self.bond_count = 2 * n_circ * l_len - n_circ
-
-    def evaluate_grid(self, mesh: np.ndarray) -> np.ndarray:
-        if self.plane == "x":
-            with np.errstate(divide="ignore", invalid="ignore"):
-                K = -np.log(mesh) / 2.0
-        else:
-            K = mesh
-        flatK = K.ravel()
-        ok = np.isfinite(flatK)
-        logmag = np.full(flatK.shape, np.nan)
-        if np.any(ok):
-            lm, _ = transfer_matrix_Z_grid(
-                self.n_circ,
-                self.l_len,
-                flatK[ok],
-                flatK[ok],
-                np.full(np.count_nonzero(ok), self.fixed_h),
-            )
-            logmag[ok] = lm
-        logmag = logmag.reshape(mesh.shape)
-        if self.plane == "x":
-            return 2.0 * (logmag - self.bond_count * K.real)
-        return 2.0 * logmag
-
-
 def _kicked_log_L(n: int, L: int, Kx: np.ndarray, Ky: np.ndarray, H: np.ndarray) -> np.ndarray:
     """ln L of the kicked protocol, elementwise over flat arrays of (Kx, Ky, H).
 
@@ -212,7 +177,7 @@ def _log_probability(amplitude: complex) -> float:
 class GeneralCircuitEvaluator:
     """ln L of the compiled general-scheme circuit; model_factory maps a scan
     point to an IsingModel.  Points whose circuits share a structure (roles,
-    gate kinds and qubits, gadgets; an exactly vanishing term drops its gadget)
+    gate kinds and qubits, gadgets; an exactly zero field drops its terms)
     are simulated as one batch, in blocks of about _AMPLITUDE_BUDGET register
     amplitudes.  A point without a model (x = 0, tanhK = +-1) is NaN; a
     register over its cap raises CapExceededError before it is allocated.

@@ -5,13 +5,11 @@ The Boltzmann weight of a configuration s in {-1,+1}^N is
     w(s) = exp(- sum_bonds K_ij s_i s_j - sum_i H_i s_i)
 
 with complex K_ij and H_i.  Under this convention ferromagnetic order
-corresponds to negative real K.  Models are immutable after construction and
-safe to share across parallel workers.
+corresponds to negative real K.  Models are immutable after construction.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import dataclass, field
 
@@ -74,9 +72,6 @@ class IsingModel:
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), sort_keys=True, separators=(",", ":"))
 
-    def content_hash(self) -> str:
-        return hashlib.sha256(self.to_json().encode()).hexdigest()[:16]
-
 
 def _validate(n_spins: int, bonds: list[Bond], fields: list[FieldTerm]) -> None:
     if n_spins < 1:
@@ -138,29 +133,18 @@ def build_chain(n: int, periodic: bool = False, K: complex = 0j, H: complex = 0j
 
 
 def build_cylinder(
-    n_circ: int,
-    l_len: int,
-    Kx: complex,
-    Ky: complex,
-    H: complex = 0j,
-    merge_duplicate_bonds: bool = False,
+    n_circ: int, l_len: int, Kx: complex, Ky: complex, H: complex = 0j
 ) -> IsingModel:
     """Cylinder of l_len rows, each a periodic ring of n_circ spins.
 
     Ring bonds carry Kx (n_circ per row), open-direction bonds carry Ky
     (n_circ per adjacent row pair).  Spin (i, r) has index r*n_circ + i.
-    A ring of 2 would duplicate the (0,1) pair; it is rejected unless
-    merge_duplicate_bonds is set, in which case the pair carries 2*Kx.
+    A ring of 2 lists the (0,1) pair twice, so it carries one bond of 2*Kx.
     """
     if n_circ < 2:
         raise ValueError("cylinder circumference must be >= 2")
     if l_len < 1:
         raise ValueError("cylinder length must be >= 1")
-    if n_circ == 2 and not merge_duplicate_bonds:
-        raise ValueError(
-            "ring of 2 creates a duplicate unordered bond; "
-            "pass merge_duplicate_bonds=True to sum the couplings"
-        )
     bonds: list[tuple[int, int, complex]] = []
     for r in range(l_len):
         base = r * n_circ

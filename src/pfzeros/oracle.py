@@ -9,7 +9,6 @@ operations are pure.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -132,15 +131,13 @@ def brute_force_Z(model: IsingModel, cap: int = BRUTE_FORCE_CAP) -> complex:
     return z
 
 
-def brute_force_Z_with_scale(
-    model: IsingModel, cap: int = BRUTE_FORCE_CAP
-) -> tuple[complex, float]:
+def brute_force_Z_with_scale(model: IsingModel) -> tuple[complex, float]:
     """Z together with sum |w(s)|, the scale against which |Z| ~ 0 is judged."""
-    z, _, scale = _weighted_sums(model, cap=cap)
+    z, _, scale = _weighted_sums(model)
     return z, scale
 
 
-def correlation(model: IsingModel, i: int, j: int, cap: int = BRUTE_FORCE_CAP) -> complex:
+def correlation(model: IsingModel, i: int, j: int) -> complex:
     """Exact <s_i s_j> = (1/Z) sum_s s_i s_j w(s).
 
     Raises IllConditionedError when |Z| is negligible against the total
@@ -151,7 +148,7 @@ def correlation(model: IsingModel, i: int, j: int, cap: int = BRUTE_FORCE_CAP) -
         raise ValueError("spin index out of range")
     if i == j:
         return 1.0 + 0j
-    z, num, scale = _weighted_sums(model, observable=lambda s: s[:, i] * s[:, j], cap=cap)
+    z, num, scale = _weighted_sums(model, observable=lambda s: s[:, i] * s[:, j])
     if abs(z) <= 1e-12 * scale:
         raise IllConditionedError(
             f"|Z| = {abs(z):.3e} is below tolerance at this point; correlation undefined"
@@ -295,25 +292,6 @@ class DensityOfStates:
         x_pow = np.exp(-complex(K) * e)
         return self.table.T.astype(np.float64) @ x_pow.astype(np.complex128)
 
-    def to_json(self) -> str:
-        entries = [
-            [int(b), int(v), int(self.table[b, v])]
-            for b, v in zip(*np.nonzero(self.table))
-        ]
-        return json.dumps(
-            {"n_spins": self.n_spins, "bond_count": self.bond_count, "entries": entries},
-            sort_keys=True,
-            separators=(",", ":"),
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "DensityOfStates":
-        d = json.loads(text)
-        table = np.zeros((d["bond_count"] + 1, d["n_spins"] + 1), dtype=np.uint64)
-        for b, v, g in d["entries"]:
-            table[b, v] = g
-        return cls(d["n_spins"], d["bond_count"], table)
-
 
 def _check_exact_counts(counts: np.ndarray, n_spins: int) -> np.ndarray:
     if float(counts.max(initial=0.0)) >= 2.0**53:
@@ -369,23 +347,6 @@ def _dos_cylinder_transfer(n_circ: int, l_len: int) -> DensityOfStates:
         state = new_state
     table = _check_exact_counts(state.sum(axis=0), n_tot)
     return DensityOfStates(n_tot, B, table)
-
-
-def cached_density_of_states(model: IsingModel, cache_dir: str | None = None) -> DensityOfStates:
-    """density_of_states with a JSON file cache keyed by the model's content hash."""
-    if cache_dir is None:
-        return density_of_states(model)
-    import os
-
-    path = os.path.join(cache_dir, f"dos_{model.content_hash()}.json")
-    if os.path.exists(path):
-        with open(path, encoding="utf-8") as fh:
-            return DensityOfStates.from_json(fh.read())
-    dos = density_of_states(model)
-    os.makedirs(cache_dir, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dos.to_json())
-    return dos
 
 
 def density_of_states(model: IsingModel) -> DensityOfStates:

@@ -18,12 +18,11 @@ circuits that differ only in their angles, a single circuit being one point.
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass
 
 import numpy as np
 
-from .circuits import Circuit, Gate, QubitRole
+from .circuits import Circuit, QubitRole
 from .errors import CapExceededError
 from .model import IsingModel
 from .oracle import brute_force_Z
@@ -59,33 +58,6 @@ def _overlaps(amp: np.ndarray, roles: tuple[QubitRole, ...]) -> list[complex]:
     sel, value = _product_support(roles)
     rows = np.ascontiguousarray(amp.reshape(1 << len(roles), -1).T)
     return [complex(row.reshape((2,) * len(roles))[sel].sum() * value) for row in rows]
-
-
-class StateVector:
-    """Dense complex amplitudes over 2^n basis states; single-writer."""
-
-    __slots__ = ("n_qubits", "amp")
-
-    def __init__(self, n_qubits: int, amp: np.ndarray | None = None):
-        self.n_qubits = n_qubits
-        if amp is None:
-            amp = np.zeros(1 << n_qubits, dtype=np.complex128)
-            amp[0] = 1.0
-        self.amp = amp
-
-    @classmethod
-    def product_state(cls, roles: tuple[QubitRole, ...]) -> "StateVector":
-        return cls(len(roles), _product_amplitudes(roles, 1).reshape(-1))
-
-    def copy(self) -> "StateVector":
-        return StateVector(self.n_qubits, self.amp.copy())
-
-    def norm_squared(self) -> float:
-        return float(np.vdot(self.amp, self.amp).real)
-
-    def overlap_with_product(self, roles: tuple[QubitRole, ...]) -> complex:
-        """<psi0|psi> for the product initial state defined by the roles."""
-        return _overlaps(self.amp, roles)[0]
 
 
 def _axis_view(amp: np.ndarray, n: int, qubits: tuple[int, ...]) -> np.ndarray:
@@ -142,14 +114,8 @@ def _apply(amp: np.ndarray, n: int, kind: str, qubits: tuple[int, ...], th: np.n
         raise ValueError(f"unknown gate kind {kind!r}")
 
 
-def apply_gate(state: StateVector, gate: Gate) -> StateVector:
-    """Apply one gate in place: the one-point case of the batched kernel."""
-    _apply(state.amp, state.n_qubits, gate.kind, gate.qubits, np.array([gate.angle]))
-    return state
-
-
-def _hadamard(state: StateVector, q: int) -> None:
-    v = _axis_view(state.amp, state.n_qubits, (q,))
+def _hadamard(amp: np.ndarray, n: int, q: int) -> None:
+    v = _axis_view(amp, n, (q,))
     n0 = (v[0] + v[1]) * _SQRT_HALF
     n1 = (v[0] - v[1]) * _SQRT_HALF
     v[0], v[1] = n0, n1
@@ -181,7 +147,7 @@ def _results(amplitudes: list[complex], angles):
     return results[0] if angles is None else results
 
 
-def run_full(circuit: Circuit, cap: int = MEMORY_QUBIT_CAP, angles=None):
+def run_full(circuit: Circuit, angles=None):
     """Evolve the full register (physical + ancillas) and overlap with |psi0>.
 
     The single ancilla projections of all gadgets are deferred to this final
@@ -189,12 +155,14 @@ def run_full(circuit: Circuit, cap: int = MEMORY_QUBIT_CAP, angles=None):
     of shape (n_gates, n_points), simulates one circuit of this structure per
     point and returns a list of their OverlapResults.
     """
-    return _results(_overlaps(_evolve_full(circuit, cap, angles), circuit.roles), angles)
+    return _results(_overlaps(_evolve_full(circuit, angles), circuit.roles), angles)
 
 
-def _evolve_full(circuit: Circuit, cap: int, angles) -> np.ndarray:
-    if circuit.n_qubits > cap:
-        raise CapExceededError(f"{circuit.n_qubits} qubits exceeds full-register cap {cap}")
+def _evolve_full(circuit: Circuit, angles) -> np.ndarray:
+    if circuit.n_qubits > MEMORY_QUBIT_CAP:
+        raise CapExceededError(
+            f"{circuit.n_qubits} qubits exceeds full-register cap {MEMORY_QUBIT_CAP}"
+        )
     th = _gate_angles(circuit, angles)
     amp = _product_amplitudes(circuit.roles, th.shape[1])
     for gate, angle in zip(circuit.gates, th):
@@ -202,9 +170,9 @@ def _evolve_full(circuit: Circuit, cap: int, angles) -> np.ndarray:
     return amp
 
 
-def final_state(circuit: Circuit, cap: int = MEMORY_QUBIT_CAP) -> StateVector:
-    """Full-register state after all gates (for sampling and inspection)."""
-    return StateVector(circuit.n_qubits, _evolve_full(circuit, cap, None).reshape(-1))
+def final_state(circuit: Circuit) -> np.ndarray:
+    """Full-register amplitudes after all gates (for sampling and inspection)."""
+    return _evolve_full(circuit, None).reshape(-1)
 
 
 def run_streamed(circuit: Circuit, angles=None):
@@ -244,7 +212,7 @@ def run_streamed(circuit: Circuit, angles=None):
     return _results(_overlaps(amp, phys_roles), angles)
 
 
-def run_effective(model: IsingModel, cap: int = MEMORY_QUBIT_CAP) -> OverlapResult:
+def run_effective(model: IsingModel) -> OverlapResult:
     """Apply exp(-K ss) / exp(-H s) as diagonal factors on the physical register.
 
     The returned amplitude times 2^N equals Z exactly; the "probability" is
@@ -252,7 +220,7 @@ def run_effective(model: IsingModel, cap: int = MEMORY_QUBIT_CAP) -> OverlapResu
     backend is an oracle identity, not a physical circuit).  Summing the
     diagonal weights over the register is brute_force_Z's configuration sum.
     """
-    return OverlapResult(brute_force_Z(model, cap) * 2.0 ** (-model.n_spins))
+    return OverlapResult(brute_force_Z(model, MEMORY_QUBIT_CAP) * 2.0 ** (-model.n_spins))
 
 
 def measurement_basis(roles: tuple[QubitRole, ...]) -> tuple[str, ...]:
@@ -260,52 +228,20 @@ def measurement_basis(roles: tuple[QubitRole, ...]) -> tuple[str, ...]:
     return tuple("z" if r is QubitRole.ANCILLA_Z else "x" for r in roles)
 
 
-def dump_state(state: StateVector, path: str) -> None:
-    """Debug dump: an 8-byte little-endian qubit count, then 2^n complex doubles."""
-    with open(path, "wb") as fh:
-        fh.write(struct.pack("<Q", state.n_qubits))
-        fh.write(np.ascontiguousarray(state.amp, dtype="<c16").tobytes())
+def sample_shots(circuit: Circuit, n_shots: int, seed) -> tuple[int, float]:
+    """Sample projective measurements of the circuit's full-register final state
+    in measurement_basis and count the all-initial-state outcome.
 
-
-def load_state(path: str) -> StateVector:
-    with open(path, "rb") as fh:
-        (n,) = struct.unpack("<Q", fh.read(8))
-        amp = np.frombuffer(fh.read(), dtype="<c16").astype(np.complex128)
-    if amp.size != 1 << n:
-        raise ValueError(f"state file holds {amp.size} amplitudes, expected 2^{n}")
-    return StateVector(int(n), amp)
-
-
-def sample_shots(
-    circuit_or_state,
-    n_shots: int,
-    seed,
-    basis: tuple[str, ...] | None = None,
-    roles: tuple[QubitRole, ...] | None = None,
-) -> tuple[int, float]:
-    """Sample projective measurements and count the all-initial-state outcome.
-
-    Accepts a Circuit (executed with the full backend) or a prepared
-    StateVector plus roles.  Returns (success_count, success_count / n_shots);
-    deterministic for a given seed.
+    Returns (success_count, success_count / n_shots); deterministic for a given
+    seed.
     """
     if n_shots < 1:
         raise ValueError("n_shots must be >= 1")
-    if isinstance(circuit_or_state, Circuit):
-        roles = circuit_or_state.roles
-        state = final_state(circuit_or_state)
-    else:
-        if roles is None:
-            raise ValueError("roles are required when passing a raw state")
-        state = circuit_or_state.copy()
-    if basis is None:
-        basis = measurement_basis(roles)
-    if len(basis) != state.n_qubits:
-        raise ValueError("basis length must match qubit count")
-    for q, axis in enumerate(basis):
+    amp = final_state(circuit)
+    for q, axis in enumerate(measurement_basis(circuit.roles)):
         if axis == "x":
-            _hadamard(state, q)
-    p = np.abs(state.amp) ** 2
+            _hadamard(amp, circuit.n_qubits, q)
+    p = np.abs(amp) ** 2
     total = p.sum()
     if not math.isfinite(total) or total <= 0:
         raise ValueError("state has no probability mass to sample")

@@ -14,10 +14,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError
+from .errors import CapExceededError, ConvergenceError
 from .oracle import DensityOfStates
 
 POLY_DEGREE_CAP = 256
+GRID_POINT_CAP = 1 << 22  # a 2048x2048 grid; its complex mesh alone takes 64 MiB
 
 
 @dataclass(frozen=True)
@@ -35,6 +36,10 @@ class GridSpec:
             raise ValueError("grid resolution must be at least 2x2")
         if not (self.re_min < self.re_max and self.im_min < self.im_max):
             raise ValueError("grid window is empty")
+        if self.n_re * self.n_im > GRID_POINT_CAP:
+            raise CapExceededError(
+                f"{self.n_re}x{self.n_im} grid exceeds the cap of {GRID_POINT_CAP} points"
+            )
 
     def re_points(self) -> np.ndarray:
         return np.linspace(self.re_min, self.re_max, self.n_re)

@@ -236,6 +236,29 @@ class TestErrors:
         assert "Traceback" not in err
         assert not (tmp_path / "cap.csv").exists()
 
+    @pytest.mark.parametrize("key, value", [
+        ("res", ["a", "b"]),
+        ("res", [3.5, 4]),
+        ("window", [-0.6, "0.6", -1.4, 1.4]),
+        ("shots", "5"),
+    ])
+    def test_rerun_config_with_wrong_type_is_config_error(self, tmp_path, capsys, key, value):
+        assert run(["--task", "noise", "--model", "cylinder:3x2", "--res", "4x4",
+                    "--shots", "10", "--out", tmp_path / "a"]) == 0
+        doc = json.loads((tmp_path / "a_report.json").read_text())
+        doc["config"][key] = value
+        (tmp_path / "bad.json").write_text(json.dumps(doc))
+        assert run(["--rerun-from", tmp_path / "bad.json", "--out", tmp_path / "rerun"]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert not list(tmp_path.glob("rerun*"))
+
+    def test_grid_over_point_cap_is_numerical_failure(self, tmp_path, capsys):
+        # the cap is checked when the grid is specified, before its mesh is allocated
+        assert run(["--task", "scan", "--model", "chain:3", "--res", "2049x2048",
+                    "--out", tmp_path / "g"]) == 4
+        assert capsys.readouterr().err.startswith("numerical failure:")
+        assert not (tmp_path / "g.csv").exists()
+
     def test_dos_count_range_is_numerical_failure(self, tmp_path):
         # from 8x8 on, density-of-states counts pass 2^53, the exact float64 range
         proc = subprocess.run(
@@ -286,6 +309,18 @@ class TestViewPlanes:
         rows = (tmp_path / "kh.csv").read_text().splitlines()[2:]
         values = [float(r.split(",")[2]) for r in rows]
         assert all(v <= 0.0 or math.isnan(v) for v in values)  # ln L <= 0
+        assert json.loads((tmp_path / "kh.json").read_text())["value_kind"] == "ln L"
+        assert run(["--task", "scan", "--model", "cylinder:3x2", "--plane", "kickH",
+                    "--fixed-k=-0.25", "--res", "11x13", "--backend", "kicked",
+                    "--out", tmp_path / "kk"]) == 0
+        assert (tmp_path / "kk.csv").read_text().splitlines()[2:] == rows
+
+    @pytest.mark.parametrize("backend", ["effective", "full", "streamed"])
+    def test_kick_field_plane_rejects_circuit_backends(self, tmp_path, capsys, backend):
+        assert run(["--task", "scan", "--model", "cylinder:3x2", "--plane", "kickH",
+                    "--backend", backend, "--out", tmp_path / "x"]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert list(tmp_path.iterdir()) == []
 
     def test_kick_field_plane_rejects_zeros_task(self, tmp_path):
         assert run(["--task", "zeros", "--model", "cylinder:3x2", "--plane", "kickH",

@@ -57,9 +57,7 @@ def test_cylinder_bond_count_formula(n, l):
 
 
 def test_cylinder_ring_of_two():
-    with pytest.raises(ValueError):
-        build_cylinder(2, 1, 0.5, 0.1)
-    m = build_cylinder(2, 1, 0.5, 0.1, merge_duplicate_bonds=True)
+    m = build_cylinder(2, 1, 0.5, 0.1)
     assert m.n_spins == 2
     # the (0,1)/(1,0) double bond collapses to one with summed coupling
     assert m.bond_count == 1
@@ -100,17 +98,11 @@ def test_from_edge_list_rejects_out_of_range():
         build_chain(5, K=0.2 - 0.7j, H=0.1j),
         build_chain(4, periodic=True, K=-1.0),
         build_cylinder(3, 2, 0.3 + 0.4j, -0.2j, 0.05),
-        build_cylinder(2, 3, 0.3, 0.1, merge_duplicate_bonds=True),
+        build_cylinder(2, 3, 0.3, 0.1),
     ],
 )
 def test_json_round_trip(model):
     assert model_from_json(model.to_json()) == model
-
-
-def test_content_hash_changes_with_coupling():
-    a = build_chain(3, K=0.2)
-    b = build_chain(3, K=0.3)
-    assert a.content_hash() != b.content_hash()
 
 
 def test_with_bond_delta_modifies_existing():

@@ -9,7 +9,6 @@ from conftest import enumerate_correlation, enumerate_Z, random_complex, random_
 from pfzeros.errors import CapExceededError, IllConditionedError
 from pfzeros.model import build_chain, build_cylinder, from_edge_list
 from pfzeros.oracle import (
-    DensityOfStates,
     LogComplex,
     _dos_enumerate,
     brute_force_Z,
@@ -134,7 +133,7 @@ class TestTransferMatrix:
         n, l = dims
         for _ in range(10):
             kx, ky, h = (random_complex(rng) for _ in range(3))
-            m = build_cylinder(n, l, kx, ky, h, merge_duplicate_bonds=n == 2)
+            m = build_cylinder(n, l, kx, ky, h)
             z = brute_force_Z(m)
             lz = transfer_matrix_Z(n, l, kx, ky, h)
             assert abs(lz.to_complex() - z) <= 1e-10 * abs(z)
@@ -233,12 +232,6 @@ class TestDensityOfStates:
         with pytest.raises(ValueError):
             density_of_states(m2)
 
-    def test_json_round_trip(self):
-        dos = density_of_states(build_cylinder(3, 2, 0.1, 0.1))
-        back = DensityOfStates.from_json(dos.to_json())
-        assert np.array_equal(back.table, dos.table)
-        assert (back.n_spins, back.bond_count) == (dos.n_spins, dos.bond_count)
-
     def test_polynomial_coefficients_reconstruct(self, rng):
         dos = density_of_states(build_chain(4, K=0.1))
         k, h = random_complex(rng), random_complex(rng)
@@ -249,14 +242,3 @@ class TestDensityOfStates:
         expected = brute_force_Z(build_chain(4, K=k, H=h))
         assert z == pytest.approx(expected, rel=1e-10)
 
-
-class TestDosCache:
-    def test_cache_round_trip(self, tmp_path):
-        from pfzeros.oracle import cached_density_of_states
-
-        m = build_cylinder(3, 2, 0.1, 0.1)
-        a = cached_density_of_states(m, str(tmp_path))
-        files = list(tmp_path.glob("dos_*.json"))
-        assert len(files) == 1
-        b = cached_density_of_states(m, str(tmp_path))
-        assert np.array_equal(a.table, b.table)

@@ -6,11 +6,12 @@ import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
 
-from pfzeros.errors import ConvergenceError
+from pfzeros.errors import CapExceededError, ConvergenceError
 from pfzeros.evaluators import DosFisherEvaluator, DosLeeYangEvaluator
 from pfzeros.model import build_chain, build_cylinder, from_edge_list
 from pfzeros.oracle import density_of_states
 from pfzeros.zeros import (
+    GRID_POINT_CAP,
     GridSpec,
     ScanGrid,
     _split_exact_roots,
@@ -70,6 +71,13 @@ class TestScan:
         target = 1j * math.pi / 2
         assert abs(cands[0].location.real - target.real) <= dre
         assert abs(cands[0].location.imag - target.imag) <= dim
+
+    def test_grid_point_cap(self):
+        # checked before any mesh exists: the spec just above the cap allocates nothing
+        assert 2048 * 2048 == GRID_POINT_CAP
+        GridSpec(0, 1, 0, 1, 2048, 2048)
+        with pytest.raises(CapExceededError):
+            GridSpec(0, 1, 0, 1, 2049, 2048)
 
 
 class TestFindMinima:
@@ -332,11 +340,11 @@ class TestScanPerformance:
         # 5x5 and 7x7 transfer-oracle scans at 100x100 stay in the seconds range
         import time
 
-        from pfzeros.evaluators import TransferFisherEvaluator
+        from pfzeros.oracle import transfer_matrix_Z_grid
 
-        spec = GridSpec(-0.62, 0.63, -1.45, 1.47, 100, 100, "K")
+        K = GridSpec(-0.62, 0.63, -1.45, 1.47, 100, 100, "K").mesh().ravel()
         t0 = time.monotonic()
         for size in (5, 7):
-            grid = scan(TransferFisherEvaluator(size, size, 0j, "K"), spec)
-            assert np.isfinite(grid.values).all()
+            logmag, _ = transfer_matrix_Z_grid(size, size, K, K, np.zeros(K.size))
+            assert np.isfinite(logmag).all()
         assert time.monotonic() - t0 < 120.0
