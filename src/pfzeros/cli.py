@@ -15,7 +15,7 @@ import json
 import math
 import sys
 import typing
-from dataclasses import asdict, dataclass
+from dataclasses import MISSING, asdict, dataclass, fields
 
 import numpy as np
 
@@ -178,29 +178,31 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--model", help="cylinder:NxL | chain:N[:periodic] | path to model JSON")
     p.add_argument("--task", choices=TASKS)
-    p.add_argument("--backend", choices=BACKENDS, default="oracle")
+    p.add_argument("--backend", choices=BACKENDS)
     p.add_argument("--plane", choices=PLANES, help="scan plane (x/K Fisher, z/H Lee-Yang)")
     p.add_argument("--window", type=_parse_window, help="re0,re1,im0,im1")
-    p.add_argument("--res", type=_parse_res, default=(100, 100), help="grid resolution NxM")
-    p.add_argument("--fixed-k", type=_parse_complex_pair, default=(-0.3, 0.0),
+    p.add_argument("--res", type=_parse_res, help="grid resolution NxM")
+    p.add_argument("--fixed-k", type=_parse_complex_pair,
                    help="fixed coupling for Lee-Yang planes / corr runs (re[,im])")
-    p.add_argument("--fixed-h", type=_parse_complex_pair, default=(0.0, 0.0),
+    p.add_argument("--fixed-h", type=_parse_complex_pair,
                    help="fixed field for Fisher planes (re[,im])")
-    p.add_argument("--shots", type=int, default=5000)
-    p.add_argument("--seed", type=int, default=1234)
-    p.add_argument("--out", default="pfzeros_out", help="output path prefix")
+    p.add_argument("--shots", type=int)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--out", help="output path prefix")
     p.add_argument("--threads", type=int, default=None,
                    help="accepted and ignored: every task runs on one thread")
     p.add_argument("--png", action="store_true", help="also write a heatmap PNG")
-    p.add_argument("--sites", default="0,0;1,1", help="corr sites 'i,m;k,n'")
-    p.add_argument("--delta", type=float, default=0.01, help="corr probe strength")
-    p.add_argument("--cut", default=None, help="noise task: 'im=<value>' row cut CSV")
-    p.add_argument("--draws", type=int, default=5, help="verify: random draws per model")
+    p.add_argument("--sites", help="corr sites 'i,m;k,n'")
+    p.add_argument("--delta", type=float, help="corr probe strength")
+    p.add_argument("--cut", help="noise task: 'im=<value>' row cut CSV inside the window")
+    p.add_argument("--draws", type=int, help="verify: random draws per model")
     p.add_argument("--inject-error", action="store_true",
                    help="verify: force a mismatch (self-test of the failure path)")
     p.add_argument("--rerun-from", default=None,
                    help="re-execute the config embedded in an existing output file")
     p.add_argument("--version", action="version", version=f"pfzeros {__version__}")
+    # every option named after a config field takes that field's default
+    p.set_defaults(**{f.name: f.default for f in fields(RunConfig) if f.default is not MISSING})
     return p
 
 
@@ -238,8 +240,7 @@ def _rebuild_with(model: IsingModel, coupling: complex, field_value: complex) ->
 def _oracle_evaluator(cfg: RunConfig, dos: DensityOfStates):
     plane = cfg.resolved_plane()
     if _is_fisher(plane):
-        fisher_plane = "tanh_k" if plane == "tanhK" else plane
-        return DosFisherEvaluator(dos, complex(*cfg.fixed_h), fisher_plane)
+        return DosFisherEvaluator(dos, complex(*cfg.fixed_h), plane)
     return DosLeeYangEvaluator(dos, complex(*cfg.fixed_k), plane)
 
 
@@ -527,6 +528,9 @@ def cmd_noise(cfg: RunConfig) -> int:
     spec = cfg.grid_spec()
     if spec.plane_tag != "K":
         raise ValueError("noise task scans the complex K plane")
+    if cfg.cut and not spec.im_min <= cut_im <= spec.im_max:
+        raise ValueError(f"cut im={cut_im!r} lies outside the window's im range "
+                         f"[{spec.im_min!r}, {spec.im_max!r}]")
     # the exact zeros come first: a model past the exact-count range fails before the scan
     dos = density_of_states(model)
     roots = polynomial_roots(dos, "fisher", complex(*cfg.fixed_h))
@@ -662,25 +666,8 @@ def main(argv: list[str] | None = None) -> int:
                 parser.error("--task is required (or --rerun-from)")
             if not args.model and args.task not in ("verify", "counts"):
                 parser.error(f"--task {args.task} requires --model")
-            cfg = RunConfig(
-                model=args.model or "",
-                task=args.task,
-                backend=args.backend,
-                plane=args.plane,
-                window=args.window,
-                res=args.res,
-                fixed_k=args.fixed_k,
-                fixed_h=args.fixed_h,
-                shots=args.shots,
-                seed=args.seed,
-                out=args.out,
-                png=args.png,
-                sites=args.sites,
-                delta=args.delta,
-                cut=args.cut,
-                draws=args.draws,
-                inject_error=args.inject_error,
-            )
+            values = {f.name: getattr(args, f.name) for f in fields(RunConfig)}
+            cfg = RunConfig(**values | {"model": args.model or ""})
         handler = {
             "scan": cmd_scan,
             "zeros": cmd_zeros,

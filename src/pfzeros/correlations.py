@@ -34,6 +34,7 @@ from .statevector import run_effective, run_full, run_streamed
 logger = logging.getLogger(__name__)
 
 MAX_PROBE_DELTA = 0.05
+MIN_PROBABILITY = 1e-24  # a base return probability at or below this is ill-conditioned
 
 # Nominal response signs (|Z(d)|^2/|Z(0)|^2 - 1 ~ sign * 2d*Re<ss>, etc.).
 # The weight is exp(-K ss), so dZ/dK = -Z<ss>: K -> K+d moves |Z|^2 by
@@ -94,12 +95,6 @@ class KickedSetup:
             (i, row, self.h) for row in range(self.l_len) for i in range(self.n_circ)
         )
 
-    def base_circuit(self) -> Circuit:
-        return compile_kicked(
-            self.n_circ, self.l_len, self.kx, self.kick_field(),
-            field_probes=self._field_terms(),
-        )
-
     def probed_circuit(self, coupling_probes=(), field_probes=()) -> Circuit:
         return compile_kicked(
             self.n_circ,
@@ -132,19 +127,13 @@ def _log_z2_model(model: IsingModel, backend: str, min_probability: float) -> fl
     raise ValueError(f"unknown backend {backend!r}")
 
 
-def corr_norm_ratio(
-    model: IsingModel,
-    i: int,
-    j: int,
-    backend: str = "effective",
-    min_probability: float = 1e-24,
-) -> float:
+def corr_norm_ratio(model: IsingModel, i: int, j: int, backend: str = "effective") -> float:
     """|<s_i s_j>|^2 as the ratio of return probabilities of two circuits that
     differ by one extra Ising gate (coupling shifted by -i pi/2)."""
     if i == j:
         return 1.0
     modified = with_bond_delta(model, i, j, -1j * math.pi / 2.0)
-    base = _log_z2_model(model, backend, min_probability)
+    base = _log_z2_model(model, backend, MIN_PROBABILITY)
     num = _log_z2_model(modified, backend, 0.0)
     return math.exp(num - base)
 
@@ -153,7 +142,7 @@ def _kicked_log_z2_ratio(
     setup: KickedSetup, coupling_probes=(), field_probes=()
 ) -> float:
     """ln(|Z'|^2 / |Z|^2) measured through probed and unprobed kicked circuits."""
-    base_c = setup.base_circuit()
+    base_c = setup.probed_circuit()
     probe_c = setup.probed_circuit(coupling_probes, field_probes)
     base = run_streamed(base_c)
     probed = run_streamed(probe_c)
@@ -173,7 +162,6 @@ def _ratio_minus_one(
     coupling_probe: tuple[int, int, int, complex] | None = None,
     field_probe_delta: complex | None = None,
     field_sites: tuple[tuple[int, int], tuple[int, int]] | None = None,
-    min_probability: float = 1e-24,
 ) -> float:
     """R - 1 where R = |Z(probe)|^2 / |Z(0)|^2, probes applied to the setup."""
     if backend == "kicked":
@@ -194,7 +182,7 @@ def _ratio_minus_one(
         (ia, ra), (ib, rb) = field_sites
         probed = with_field_delta(base, setup.site(ia, ra), field_probe_delta)
         probed = with_field_delta(probed, setup.site(ib, rb), field_probe_delta)
-    log_base = _log_z2_model(base, backend, min_probability)
+    log_base = _log_z2_model(base, backend, MIN_PROBABILITY)
     log_probed = _log_z2_model(probed, backend, 0.0)
     return math.expm1(log_probed - log_base)
 

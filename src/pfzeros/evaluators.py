@@ -53,14 +53,14 @@ def _poly_eval_scaled(coeffs: np.ndarray, w: complex) -> complex:
 class DosFisherEvaluator:
     """log |Z|^2-style values from a density-of-states polynomial, Fisher planes.
 
-    Planes: "x" scans x = e^{-2K} directly, "K" the coupling (absolute |Z|^2),
-    "tanh_k" the view w = tanh K, i.e. x = (1-w)/(1+w) (prefactor-stripped,
-    like the x plane).
+    Planes, named as the CLI's --plane: "x" scans x = e^{-2K} directly, "K"
+    the coupling (absolute |Z|^2), "tanhK" the view w = tanh K, i.e.
+    x = (1-w)/(1+w) (prefactor-stripped, like the x plane).
     """
 
     def __init__(self, dos: DensityOfStates, fixed_h: complex = 0j, plane: str = "x"):
-        if plane not in ("x", "K", "tanh_k"):
-            raise ValueError("Fisher plane must be 'x', 'K' or 'tanh_k'")
+        if plane not in ("x", "K", "tanhK"):
+            raise ValueError("Fisher plane must be 'x', 'K' or 'tanhK'")
         self.dos = dos
         self.fixed_h = complex(fixed_h)
         self.plane = plane
@@ -248,9 +248,11 @@ class KickedCalibration:
         return "\n".join(lines)
 
 
-def calibrate_kicked_relation(
-    sizes=((2, 2), (3, 2), (2, 3)), n_draws: int = 6, seed: int = 11
-) -> KickedCalibration:
+_CALIBRATION_SIZES = ((2, 2), (3, 2), (2, 3))  # (n_circ, l_len) cylinders
+_CALIBRATION_DRAWS = 6  # random (K, H) draws per size
+
+
+def calibrate_kicked_relation(seed: int = 11) -> KickedCalibration:
     """Re-derive the constants relating P_kicked to |Z(K, Ky)|^2.
 
     For each random complex (K, H) the simulated circuit probability is
@@ -263,8 +265,8 @@ def calibrate_kicked_relation(
     errors = {1.0: [], -1.0: []}
     exponent_gaps = []
     samples = 0
-    for (n, L) in sizes:
-        for _ in range(n_draws):
+    for (n, L) in _CALIBRATION_SIZES:
+        for _ in range(_CALIBRATION_DRAWS):
             K = complex(rng.normal(0, 0.35), rng.normal(0, 0.35))
             H = complex(rng.normal(0, 0.35), rng.normal(0, 0.35))
             if abs(np.tanh(H)) < 0.05 or abs(np.sinh(2 * H)) < 0.05:

@@ -60,18 +60,6 @@ class IsingModel:
                 raise ValueError("bond couplings are not homogeneous")
         return k0
 
-    def to_json_dict(self) -> dict:
-        return {
-            "version": MODEL_FORMAT_VERSION,
-            "n_spins": self.n_spins,
-            "bonds": [[b.i, b.j, b.coupling.real, b.coupling.imag] for b in self.bonds],
-            "fields": [[f.i, f.field.real, f.field.imag] for f in self.fields],
-            "lattice": self.lattice_info() or None,
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True, separators=(",", ":"))
-
 
 def _validate(n_spins: int, bonds: list[Bond], fields: list[FieldTerm]) -> None:
     if n_spins < 1:
@@ -196,9 +184,23 @@ def with_field_delta(model: IsingModel, i: int, delta: complex) -> IsingModel:
 
 
 def model_from_json(text: str) -> IsingModel:
+    """Model from {"version": 1, "n_spins": N, "bonds": [[i, j, re K, im K], ...]}
+    with optional "fields" [[i, re H, im H], ...] and "lattice" {...}; any other
+    document raises ValueError."""
     d = json.loads(text)
+    if not isinstance(d, dict):
+        raise ValueError("model JSON must be an object")
     if d.get("version") != MODEL_FORMAT_VERSION:
         raise ValueError(f"unsupported model format version {d.get('version')!r}")
-    bonds = [(int(i), int(j), complex(re, im)) for (i, j, re, im) in d["bonds"]]
-    fields = [(int(i), complex(re, im)) for (i, re, im) in d.get("fields", [])]
-    return from_edge_list(int(d["n_spins"]), bonds, fields, d.get("lattice"))
+    try:
+        n_spins = int(d["n_spins"])
+        bonds = [(int(i), int(j), complex(re, im)) for (i, j, re, im) in d["bonds"]]
+        fields = [(int(i), complex(re, im)) for (i, re, im) in d.get("fields", [])]
+    except KeyError as exc:
+        raise ValueError(f"model JSON lacks the key {exc}") from None
+    except (TypeError, ValueError) as exc:  # wrong arity or a non-numeric entry
+        raise ValueError(f"malformed model JSON entry: {exc}") from None
+    lattice = d.get("lattice")
+    if lattice is not None and not isinstance(lattice, dict):
+        raise ValueError("model JSON lattice must be an object or null")
+    return from_edge_list(n_spins, bonds, fields, lattice)

@@ -97,11 +97,11 @@ class DetectabilityReport:
     radius_cells: float
     count_threshold: int
 
-    def fraction_within(self, radius: float | None = None) -> float:
-        r = self.radius_cells if radius is None else radius
+    def fraction_within(self) -> float:
+        """Share of the true zeros with a noisy minimum within radius_cells."""
         if not self.detections:
             return 1.0
-        hit = sum(1 for d in self.detections if d.distance_cells <= r)
+        hit = sum(1 for d in self.detections if d.distance_cells <= self.radius_cells)
         return hit / len(self.detections)
 
 

@@ -58,17 +58,6 @@ class LogComplex:
             math.cos(self.phase), math.sin(self.phase)
         )
 
-    def scaled(self, ref_log: float) -> complex:
-        """exp(log_magnitude - ref_log + i*phase): the value in units of e^ref_log."""
-        if self.log_magnitude == float("-inf"):
-            return 0j
-        m = self.log_magnitude - ref_log
-        return math.exp(m) * complex(math.cos(self.phase), math.sin(self.phase))
-
-    @property
-    def log_abs_squared(self) -> float:
-        return 2.0 * self.log_magnitude
-
 
 def _wrap_phase(p: float) -> float:
     p = math.remainder(p, 2.0 * math.pi)
@@ -261,24 +250,6 @@ class DensityOfStates:
     n_spins: int
     bond_count: int
     table: np.ndarray  # (B+1, N+1) uint64
-
-    def total(self) -> int:
-        return int(self.table.sum())
-
-    def evaluate(self, K: complex, H: complex = 0j) -> LogComplex:
-        """Z(K, H) by overflow-safe log-sum-exp over table entries."""
-        b_idx, v_idx = np.nonzero(self.table)
-        g = self.table[b_idx, v_idx].astype(np.float64)
-        terms = np.log(g) - 2.0 * K * b_idx - 2.0 * H * v_idx
-        m = float(np.max(terms.real))
-        s = complex(np.sum(np.exp(terms - m)))
-        if s == 0:
-            return LogComplex.from_log(float("-inf"), 0.0)
-        offset = K * self.bond_count + H * self.n_spins
-        return LogComplex.from_log(
-            m + math.log(abs(s)) + offset.real,
-            math.atan2(s.imag, s.real) + offset.imag,
-        )
 
     def fisher_coefficients(self, H: complex = 0j) -> np.ndarray:
         """Coefficients c_b with Z(K, H) = e^{K B} * sum_b c_b x^b, x = e^{-2K}."""

@@ -19,6 +19,8 @@ from .oracle import DensityOfStates
 
 POLY_DEGREE_CAP = 256
 GRID_POINT_CAP = 1 << 22  # a 2048x2048 grid; its complex mesh alone takes 64 MiB
+ABERTH_TOL, ABERTH_MAX_ITER = 1e-12, 200
+NEWTON_TOL, NEWTON_MAX_ITER = 1e-10, 50
 
 
 @dataclass(frozen=True)
@@ -77,26 +79,14 @@ class ScanGrid:
 def scan(evaluator, spec: GridSpec) -> ScanGrid:
     """Dense evaluation of a log-scale evaluator over the grid.
 
-    Every evaluator of the package offers `evaluate_grid(mesh)`, which maps
-    the whole mesh to ln of the scanned quantity (|Z|^2 or L) in one call and
-    lets its errors propagate.  A plain callable mapping one complex point to
-    that value is called point by point in row-major order; its failures at
-    single points are recorded as NaN and the scan continues.
+    The evaluator's `evaluate_grid(mesh)` maps the whole (n_im, n_re) mesh to
+    ln of the scanned quantity (|Z|^2 or L) in one call.  Its errors
+    propagate; a result of another shape raises ValueError.
     """
     mesh = spec.mesh()
-    if hasattr(evaluator, "evaluate_grid"):
-        values = np.asarray(evaluator.evaluate_grid(mesh), dtype=np.float64)
-        if values.shape != mesh.shape:
-            raise ValueError("evaluate_grid returned a wrong shape")
-        return ScanGrid(spec, values)
-
-    values = np.full(mesh.shape, np.nan, dtype=np.float64)
-    for iy in range(spec.n_im):
-        for ix in range(spec.n_re):
-            try:
-                values[iy, ix] = float(evaluator(complex(mesh[iy, ix])))
-            except Exception:
-                values[iy, ix] = np.nan
+    values = np.asarray(evaluator.evaluate_grid(mesh), dtype=np.float64)
+    if values.shape != mesh.shape:
+        raise ValueError("evaluate_grid returned a wrong shape")
     return ScanGrid(spec, values)
 
 
@@ -153,25 +143,19 @@ def find_minima(grid: ScanGrid, rel_threshold: float = 1e-2) -> list[MinimumCand
 class ZeroEstimate:
     location: complex
     residual: float  # ln |f| at the location (relative to the evaluator's scale)
-    method: str  # "grid-minimum" | "newton" | "polynomial"
+    method: str  # always "newton": refine_newton is the only producer
     iterations: int = 0
 
 
-def refine_newton(
-    evaluator_z,
-    z0: complex,
-    step_scale: float | None = None,
-    tol: float = 1e-10,
-    max_iter: int = 50,
-) -> ZeroEstimate:
+def refine_newton(evaluator_z, z0: complex, step_scale: float | None = None) -> ZeroEstimate:
     """Complex Newton iteration on a complex-Z evaluator.
 
     The derivative is taken by central differences with step 1e-6 * scale, so
     any backend returning a (possibly rescaled) complex Z can be refined.
     Multiple roots make plain Newton steps shrink geometrically; a stable step
     ratio r triggers one accelerated step scaled by 1/(1-r), after which plain
-    iteration resumes.  Converges when |dz| < tol; raises ConvergenceError
-    otherwise.
+    iteration resumes.  Converges when |dz| < NEWTON_TOL; raises
+    ConvergenceError after NEWTON_MAX_ITER steps otherwise.
     """
     scale = step_scale if step_scale is not None else max(1.0, abs(z0))
     h = 1e-6 * scale
@@ -179,7 +163,7 @@ def refine_newton(
     prev_step = None
     ratio_streak = 0
     last_ratio = 0.0
-    for it in range(max_iter):
+    for it in range(NEWTON_MAX_ITER):
         f = complex(evaluator_z(z))
         if f == 0:
             return ZeroEstimate(z, float("-inf"), "newton", it)
@@ -199,11 +183,11 @@ def refine_newton(
                 ratio_streak = 0
         prev_step = dz
         z -= dz
-        if abs(dz) < tol:
+        if abs(dz) < NEWTON_TOL:
             fz = complex(evaluator_z(z))
             residual = math.log(abs(fz)) if fz != 0 else float("-inf")
             return ZeroEstimate(z, residual, "newton", it + 1)
-    raise ConvergenceError(f"Newton did not converge from {z0:.6g} in {max_iter} iterations")
+    raise ConvergenceError(f"Newton did not converge from {z0:.6g} in {NEWTON_MAX_ITER} iterations")
 
 
 def _horner(c, z):
@@ -223,9 +207,7 @@ def _horner_with_derivative(c: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, n
     return p, dp
 
 
-def aberth_roots(
-    coeffs: np.ndarray, tol: float = 1e-12, max_iter: int = 200
-) -> np.ndarray:
+def aberth_roots(coeffs: np.ndarray) -> np.ndarray:
     """All roots of sum_k coeffs[k] x^k by the Aberth-Ehrlich iteration.
 
     Initial guesses sit on a circle sized from the coefficient magnitudes;
@@ -246,7 +228,7 @@ def aberth_roots(
     angles = 2.0 * np.pi * (np.arange(d) + 0.25) / d
     z = radius * np.exp(1j * angles)
     frozen = np.zeros(d, dtype=bool)
-    for _ in range(max_iter):
+    for _ in range(ABERTH_MAX_ITER):
         p, dp = _horner_with_derivative(c, z)
         dp = np.where(dp == 0, 1e-300, dp)
         w = p / dp
@@ -255,7 +237,7 @@ def aberth_roots(
         s = np.sum(1.0 / diff, axis=1)
         delta = np.where(frozen, 0.0, w / (1.0 - w * s))
         z = z - delta
-        frozen |= np.abs(delta) <= tol * (1.0 + np.abs(z))
+        frozen |= np.abs(delta) <= ABERTH_TOL * (1.0 + np.abs(z))
         if np.all(frozen):
             for _ in range(2):  # Newton polish
                 p, dp = _horner_with_derivative(c, z)
@@ -266,7 +248,7 @@ def aberth_roots(
     # sum_k |c_k| |z|^k is the backward-error scale for residual acceptance
     if np.all(np.abs(p) <= 1e-10 * _horner(np.abs(c), np.abs(z))):
         return z
-    raise ConvergenceError(f"Aberth iteration did not converge in {max_iter} steps")
+    raise ConvergenceError(f"Aberth iteration did not converge in {ABERTH_MAX_ITER} steps")
 
 
 def _split_exact_roots(coeffs) -> tuple[np.ndarray, np.ndarray]:

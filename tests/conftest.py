@@ -29,6 +29,16 @@ def child_env():
     return env
 
 
+class Pointwise:
+    """Scan evaluator whose evaluate_grid calls fn(w) at each complex mesh point."""
+
+    def __init__(self, fn):
+        self.fn = fn
+
+    def evaluate_grid(self, mesh):
+        return np.array([[float(self.fn(complex(w))) for w in row] for row in mesh])
+
+
 def enumerate_Z(n_spins, bonds, fields=()):
     """Independent brute-force partition sum (pure-python loop)."""
     total = 0j

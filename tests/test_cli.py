@@ -7,7 +7,7 @@ import threading
 import pytest
 
 from conftest import child_env
-from pfzeros.cli import main
+from pfzeros.cli import DEFAULT_WINDOWS, main
 
 
 def run(args):
@@ -162,6 +162,23 @@ class TestErrors:
         assert run(["--task", "scan", "--model", "nosuchfile.json",
                     "--out", tmp_path / "x"]) == 2
 
+    @pytest.mark.parametrize("doc", [
+        '{"version": 1, "n_spins": 2}',
+        '[1, 2]',
+        '{"version": 1, "n_spins": 2, "bonds": [[0, 1, "a", 0]]}',
+        '{"version": 1, "n_spins": 2, "bonds": [[0, 1, 0.2]]}',
+        '{"version": 1, "n_spins": 2, "bonds": [], "fields": [[0, 0.1]]}',
+        '{"version": 1, "n_spins": 2, "bonds": [], "lattice": [1]}',
+    ], ids=["no-bonds", "not-an-object", "non-numeric", "bond-arity", "field-arity",
+            "lattice-not-an-object"])
+    def test_malformed_model_file_is_config_error(self, tmp_path, capsys, doc):
+        (tmp_path / "m.json").write_text(doc)
+        assert run(["--task", "scan", "--model", tmp_path / "m.json", "--res", "4x4",
+                    "--out", tmp_path / "x"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert not (tmp_path / "x.csv").exists()
+
     def test_missing_task(self):
         with pytest.raises(SystemExit) as exc:
             run(["--model", "chain:3"])
@@ -197,6 +214,23 @@ class TestErrors:
                     "--shots", "50", "--cut", "re=1", "--out", out]) == 2
         assert not (tmp_path / "n_true.csv").exists()
         assert not (tmp_path / "n_noisy.csv").exists()
+
+    @pytest.mark.parametrize("cut, window", [
+        ("im=9", DEFAULT_WINDOWS["K"]),  # im spans [-1.45, 1.47]
+        ("im=-0.81", (-0.62, 0.63, -0.80, 0.82)),
+        ("im=nan", DEFAULT_WINDOWS["K"]),
+    ])
+    def test_noise_cut_outside_window_rejected_before_work(self, tmp_path, monkeypatch, capsys,
+                                                          cut, window):
+        def refuse(*args, **kwargs):
+            raise AssertionError("work started before the cut was checked")
+        monkeypatch.setattr("pfzeros.cli.density_of_states", refuse)
+        monkeypatch.setattr("pfzeros.cli.scan", refuse)
+        assert run(["--task", "noise", "--model", "cylinder:3x2", "--res", "6x6",
+                    "--window=" + ",".join(map(str, window)), "--shots", "50",
+                    f"--cut={cut}", "--out", tmp_path / "n"]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert list(tmp_path.iterdir()) == []
 
     def test_noise_shots_checked_before_scan(self, tmp_path, monkeypatch):
         def refuse(*args, **kwargs):

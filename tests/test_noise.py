@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.stats import ks_2samp
 
+from conftest import Pointwise
 from pfzeros.circuits import compile_general
 from pfzeros.model import from_edge_list
 from pfzeros.noise import (
@@ -18,7 +19,7 @@ from pfzeros.zeros import GridSpec, ScanGrid, scan
 
 
 def l_grid(fn, spec):
-    return scan(lambda w: math.log(fn(w)) if fn(w) > 0 else float("-inf"), spec)
+    return scan(Pointwise(lambda w: math.log(fn(w)) if fn(w) > 0 else float("-inf")), spec)
 
 
 class TestNoisyScan:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
 
+from conftest import Pointwise
 from pfzeros.errors import CapExceededError, ConvergenceError
 from pfzeros.evaluators import DosFisherEvaluator, DosLeeYangEvaluator
 from pfzeros.model import build_chain, build_cylinder, from_edge_list
@@ -45,26 +46,32 @@ def companion_roots(coeffs):
 class TestScan:
     def test_constant_evaluator(self):
         spec = GridSpec(-1, 1, -1, 1, 5, 4)
-        grid = scan(lambda w: 2.5, spec)
+        grid = scan(Pointwise(lambda w: 2.5), spec)
         assert grid.values.shape == (4, 5)
         assert np.all(grid.values == 2.5)
 
-    def test_failure_recorded_as_nan(self):
-        spec = GridSpec(-1, 1, -1, 1, 4, 4)
+    def test_wrong_shape_rejected(self):
+        class Transposed:
+            def evaluate_grid(self, mesh):
+                return np.zeros(mesh.T.shape)
 
+        with pytest.raises(ValueError, match="wrong shape"):
+            scan(Transposed(), GridSpec(-1, 1, -1, 1, 5, 4))
+
+    def test_evaluator_failure_propagates(self):
+        # no point fails silently: an error inside evaluate_grid ends the scan
         def evaluator(w):
             if abs(w.real) < 0.4:
                 raise RuntimeError("backend failure")
             return 1.0
 
-        grid = scan(evaluator, spec)
-        assert np.isnan(grid.values).any()
-        assert np.isfinite(grid.values).any()
+        with pytest.raises(RuntimeError, match="backend failure"):
+            scan(Pointwise(evaluator), GridSpec(-1, 1, -1, 1, 4, 4))
 
     def test_one_spin_lee_yang_minimum(self):
         # |2 cosh(H)|^2 vanishes at H = i pi/2
         spec = GridSpec(-1, 1, 0, math.pi, 61, 63, "H")
-        grid = scan(lambda w: math.log(abs(2 * cmath.cosh(w)) ** 2 + 1e-300), spec)
+        grid = scan(Pointwise(lambda w: math.log(abs(2 * cmath.cosh(w)) ** 2 + 1e-300)), spec)
         cands = find_minima(grid, rel_threshold=1e-2)
         assert len(cands) == 1
         dre, dim = spec.cell_size()
@@ -83,18 +90,18 @@ class TestScan:
 class TestFindMinima:
     def test_monotone_grid_empty(self):
         spec = GridSpec(0, 1, 0, 1, 8, 8)
-        grid = scan(lambda w: w.real + 2 * w.imag, spec)
+        grid = scan(Pointwise(lambda w: w.real + 2 * w.imag), spec)
         assert find_minima(grid, rel_threshold=None) == []
 
     def test_single_deep_minimum(self):
         spec = GridSpec(-1, 1, -1, 1, 21, 21)
-        grid = scan(lambda w: 2 * math.log(abs(w - (0.1 + 0.2j)) + 1e-12), spec)
+        grid = scan(Pointwise(lambda w: 2 * math.log(abs(w - (0.1 + 0.2j)) + 1e-12)), spec)
         cands = find_minima(grid, rel_threshold=1e-2)
         assert len(cands) == 1
 
     def test_border_cells_excluded(self):
         spec = GridSpec(0, 1, 0, 1, 6, 6)
-        grid = scan(lambda w: abs(w) ** 2, spec)  # minimum at the corner
+        grid = scan(Pointwise(lambda w: abs(w) ** 2), spec)  # minimum at the corner
         assert find_minima(grid, rel_threshold=None) == []
 
     def test_threshold_cuts_shallow_minima(self):
