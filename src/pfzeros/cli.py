@@ -31,7 +31,7 @@ from .evaluators import (
     KickedProbabilityEvaluator,
     calibrate_kicked_relation,
 )
-from .model import IsingModel, build_chain, build_cylinder, from_edge_list, model_from_json
+from .model import IsingModel, build_chain, build_cylinder, cylinder_dims, from_edge_list, model_from_json
 from .noise import detectability, noisy_scan
 from .oracle import DensityOfStates, brute_force_Z, correlation, density_of_states
 from .statevector import run_effective, run_full, run_streamed
@@ -69,9 +69,9 @@ RESCALE_VARIABLE = "sinh_2k"  # empirically validated unit-circle variable
 @dataclass
 class RunConfig:
     model: str
-    task: str
-    backend: str = "oracle"
-    plane: str | None = None
+    task: typing.Literal[TASKS]
+    backend: typing.Literal[BACKENDS] = "oracle"
+    plane: typing.Literal[PLANES] | None = None
     window: tuple[float, float, float, float] | None = None
     res: tuple[int, int] = (100, 100)
     fixed_k: tuple[float, float] = (-0.3, 0.0)
@@ -129,7 +129,8 @@ class RunConfig:
 def _checked_value(key: str, value, hint):
     """value if it has the config field's type (lists become tuples), else ValueError.
 
-    A float field also takes an int; bool never stands in for a number.
+    A float field also takes an int; bool never stands in for a number; a
+    Literal field takes only its listed choices.
     """
     args = typing.get_args(hint)
     if type(None) in args:  # optional field
@@ -141,6 +142,10 @@ def _checked_value(key: str, value, hint):
         if not isinstance(value, (list, tuple)) or len(value) != len(items):
             raise ValueError(f"config field {key!r} must be a list of {len(items)} numbers")
         return tuple(_checked_value(key, v, t) for v, t in zip(value, items))
+    if typing.get_origin(hint) is typing.Literal:
+        if value in typing.get_args(hint):
+            return value
+        raise ValueError(f"config field {key!r} is {value!r}, not one of {typing.get_args(hint)}")
     allowed = (int, float) if hint is float else (hint,)
     if not isinstance(value, allowed) or (isinstance(value, bool) and hint is not bool):
         raise ValueError(f"config field {key!r} must be {hint.__name__}, got {value!r}")
@@ -220,11 +225,11 @@ def parse_model(spec: str, fixed_k: complex, fixed_h: complex) -> IsingModel:
         return model_from_json(fh.read())
 
 
-def _model_dims(model: IsingModel) -> tuple[int, int] | None:
-    lat = model.lattice_info()
-    if lat.get("kind") == "cylinder":
-        return int(lat["n_circ"]), int(lat["l_len"])
-    return None
+def _require_cylinder(model: IsingModel, user: str) -> tuple[int, int]:
+    dims = cylinder_dims(model)
+    if dims is None:
+        raise ValueError(f"{user} needs a cylinder model; these bonds form none")
+    return dims
 
 
 def _is_fisher(plane: str) -> bool:
@@ -234,7 +239,7 @@ def _is_fisher(plane: str) -> bool:
 def _rebuild_with(model: IsingModel, coupling: complex, field_value: complex) -> IsingModel:
     bonds = [(b.i, b.j, coupling) for b in model.bonds]
     fields = [] if field_value == 0 else [(i, field_value) for i in range(model.n_spins)]
-    return from_edge_list(model.n_spins, bonds, fields, model.lattice_info() or None)
+    return from_edge_list(model.n_spins, bonds, fields)
 
 
 def _oracle_evaluator(cfg: RunConfig, dos: DensityOfStates):
@@ -249,19 +254,16 @@ def make_evaluator(cfg: RunConfig, model: IsingModel):
     fixed_k = complex(*cfg.fixed_k)
     fixed_h = complex(*cfg.fixed_h)
     if plane == "kickH":
-        dims = _model_dims(model)
-        if dims is None:
-            raise ValueError("the kick-field plane needs a cylinder model")
+        dims = _require_cylinder(model, "the kick-field plane")
         if cfg.backend not in ("oracle", "kicked"):
             raise ValueError("the kick-field plane takes the oracle or kicked backend")
         return KickedFieldPlaneEvaluator(dims[0], dims[1], fixed_k)
     if cfg.backend == "oracle":
         return _oracle_evaluator(cfg, density_of_states(model))
     if cfg.backend == "kicked":
-        dims = _model_dims(model)
-        if dims is None or plane != "K":
-            raise ValueError("kicked backend needs a cylinder model and plane K")
-        return KickedProbabilityEvaluator(*dims)
+        if plane != "K":
+            raise ValueError("kicked backend needs plane K")
+        return KickedProbabilityEvaluator(*_require_cylinder(model, "kicked backend"))
     # circuit backends compile the general scheme per grid point
     if _is_fisher(plane):
         def factory(w: complex) -> IsingModel:
@@ -522,9 +524,7 @@ def cmd_noise(cfg: RunConfig) -> int:
             raise ValueError("cut must be 'im=<value>'")
         cut_im = float(val)
     model = parse_model(cfg.model, complex(*cfg.fixed_k), complex(*cfg.fixed_h))
-    dims = _model_dims(model)
-    if dims is None:
-        raise ValueError("noise task needs a cylinder model (kicked protocol map)")
+    evaluator = KickedProbabilityEvaluator(*_require_cylinder(model, "noise task"))
     spec = cfg.grid_spec()
     if spec.plane_tag != "K":
         raise ValueError("noise task scans the complex K plane")
@@ -535,7 +535,7 @@ def cmd_noise(cfg: RunConfig) -> int:
     dos = density_of_states(model)
     roots = polynomial_roots(dos, "fisher", complex(*cfg.fixed_h))
     zeros_in_window = map_roots(roots, spec, "K")
-    grid = scan(KickedProbabilityEvaluator(*dims), spec)
+    grid = scan(evaluator, spec)
     noisy = noisy_scan(grid, cfg.shots, cfg.seed)
     report = detectability(noisy, zeros_in_window)
 
@@ -573,9 +573,7 @@ def cmd_noise(cfg: RunConfig) -> int:
 
 def cmd_corr(cfg: RunConfig) -> int:
     model = parse_model(cfg.model, complex(*cfg.fixed_k), complex(*cfg.fixed_h))
-    dims = _model_dims(model)
-    if dims is None:
-        raise ValueError("corr task needs a cylinder model")
+    dims = _require_cylinder(model, "corr task")
     try:
         (i, m), (k, n) = [tuple(int(v) for v in s.split(",")) for s in cfg.sites.split(";")]
     except ValueError as exc:

@@ -135,6 +135,8 @@ class KickedProbabilityEvaluator:
     """
 
     def __init__(self, n_circ: int, l_len: int):
+        if n_circ < 3:  # a ring of 2 has one bond of 2K; the density of states counts it as K
+            raise ValueError(f"the kicked K plane needs a ring of at least 3 spins, got {n_circ}")
         self.n_circ, self.l_len = n_circ, l_len
 
     def evaluate_grid(self, mesh: np.ndarray) -> np.ndarray:

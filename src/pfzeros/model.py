@@ -11,7 +11,7 @@ corresponds to negative real K.  Models are immutable after construction.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 MODEL_FORMAT_VERSION = 1
 
@@ -41,14 +41,10 @@ class IsingModel:
     n_spins: int
     bonds: tuple[Bond, ...]
     fields: tuple[FieldTerm, ...]
-    lattice: tuple[tuple[str, object], ...] | None = field(default=None)
 
     @property
     def bond_count(self) -> int:
         return len(self.bonds)
-
-    def lattice_info(self) -> dict:
-        return dict(self.lattice) if self.lattice is not None else {}
 
     def homogeneous_coupling(self) -> complex:
         """The common bond coupling, or raise if bonds are inhomogeneous."""
@@ -86,7 +82,6 @@ def from_edge_list(
     n_spins: int,
     bonds: list[tuple[int, int, complex]],
     fields: list[tuple[int, complex]] | None = None,
-    lattice: dict | None = None,
 ) -> IsingModel:
     """Build a model from explicit (i, j, K) bonds and (i, H) field terms.
 
@@ -95,8 +90,7 @@ def from_edge_list(
     bond_objs = [Bond(i, j, complex(k)) for (i, j, k) in bonds]
     field_objs = [FieldTerm(i, complex(h)) for (i, h) in (fields or [])]
     _validate(n_spins, bond_objs, field_objs)
-    lat = tuple(sorted(lattice.items())) if lattice else None
-    return IsingModel(n_spins, tuple(bond_objs), tuple(field_objs), lat)
+    return IsingModel(n_spins, tuple(bond_objs), tuple(field_objs))
 
 
 def _uniform_fields(n: int, h: complex) -> list[tuple[int, complex]]:
@@ -107,17 +101,14 @@ def _uniform_fields(n: int, h: complex) -> list[tuple[int, complex]]:
 
 
 def build_chain(n: int, periodic: bool = False, K: complex = 0j, H: complex = 0j) -> IsingModel:
-    """Uniform chain of n spins: n-1 bonds (open) or n bonds (periodic ring)."""
+    """Uniform chain of n spins: n-1 bonds (open) or the n x 1 cylinder (periodic ring)."""
     if n < 1:
         raise ValueError("chain needs at least one spin")
-    bonds = [(i, i + 1, K) for i in range(n - 1)]
-    if periodic:
-        if n == 2:
-            raise ValueError("periodic chain of 2 duplicates the (0,1) bond")
-        if n > 1:
-            bonds.append((n - 1, 0, K))
-    lattice = {"kind": "chain", "n": n, "periodic": periodic}
-    return from_edge_list(n, bonds, _uniform_fields(n, H), lattice)
+    if periodic and n == 2:
+        raise ValueError("periodic chain of 2 duplicates the (0,1) bond")
+    if periodic and n > 2:
+        return build_cylinder(n, 1, K, K, H)
+    return from_edge_list(n, [(i, i + 1, K) for i in range(n - 1)], _uniform_fields(n, H))
 
 
 def build_cylinder(
@@ -128,6 +119,7 @@ def build_cylinder(
     Ring bonds carry Kx (n_circ per row), open-direction bonds carry Ky
     (n_circ per adjacent row pair).  Spin (i, r) has index r*n_circ + i.
     A ring of 2 lists the (0,1) pair twice, so it carries one bond of 2*Kx.
+    cylinder_dims recognises a cylinder by its bond pairs as laid out here.
     """
     if n_circ < 2:
         raise ValueError("cylinder circumference must be >= 2")
@@ -144,8 +136,19 @@ def build_cylinder(
     for r in range(l_len - 1):
         for i in range(n_circ):
             bonds.append((r * n_circ + i, (r + 1) * n_circ + i, Ky))
-    lattice = {"kind": "cylinder", "n_circ": n_circ, "l_len": l_len}
-    return from_edge_list(n_circ * l_len, bonds, _uniform_fields(n_circ * l_len, H), lattice)
+    return from_edge_list(n_circ * l_len, bonds, _uniform_fields(n_circ * l_len, H))
+
+
+def cylinder_dims(model: IsingModel) -> tuple[int, int] | None:
+    """(n_circ, l_len) when the model's unordered bond pairs are exactly those of
+    build_cylinder(n_circ, l_len, ...), else None; couplings are not compared.
+    A periodic chain of N spins is the N x 1 cylinder, a lone bond the 2 x 1."""
+    pairs = {b.key() for b in model.bonds}
+    n = model.n_spins
+    for dims in ((c, n // c) for c in range(2, n + 1) if n % c == 0):
+        if pairs == {b.key() for b in build_cylinder(*dims, 0, 0).bonds}:
+            return dims
+    return None
 
 
 def with_bond_delta(model: IsingModel, i: int, j: int, delta: complex) -> IsingModel:
@@ -164,7 +167,7 @@ def with_bond_delta(model: IsingModel, i: int, j: int, delta: complex) -> IsingM
     if not found:
         bonds.append((key[0], key[1], complex(delta)))
     fields = [(f.i, f.field) for f in model.fields]
-    return from_edge_list(model.n_spins, bonds, fields, model.lattice_info() or None)
+    return from_edge_list(model.n_spins, bonds, fields)
 
 
 def with_field_delta(model: IsingModel, i: int, delta: complex) -> IsingModel:
@@ -180,13 +183,13 @@ def with_field_delta(model: IsingModel, i: int, delta: complex) -> IsingModel:
     if not found:
         fields.append((i, complex(delta)))
     bonds = [(b.i, b.j, b.coupling) for b in model.bonds]
-    return from_edge_list(model.n_spins, bonds, fields, model.lattice_info() or None)
+    return from_edge_list(model.n_spins, bonds, fields)
 
 
 def model_from_json(text: str) -> IsingModel:
     """Model from {"version": 1, "n_spins": N, "bonds": [[i, j, re K, im K], ...]}
-    with optional "fields" [[i, re H, im H], ...] and "lattice" {...}; any other
-    document raises ValueError."""
+    with optional "fields" [[i, re H, im H], ...] and "lattice" (an object or null,
+    not read: cylinder_dims reads the bonds); any other document raises ValueError."""
     d = json.loads(text)
     if not isinstance(d, dict):
         raise ValueError("model JSON must be an object")
@@ -203,4 +206,4 @@ def model_from_json(text: str) -> IsingModel:
     lattice = d.get("lattice")
     if lattice is not None and not isinstance(lattice, dict):
         raise ValueError("model JSON lattice must be an object or null")
-    return from_edge_list(n_spins, bonds, fields, lattice)
+    return from_edge_list(n_spins, bonds, fields)

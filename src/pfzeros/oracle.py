@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapExceededError, IllConditionedError
-from .model import IsingModel
+from .model import IsingModel, cylinder_dims
 
 BRUTE_FORCE_CAP = 24
 TRANSFER_CIRC_CAP = 16
@@ -290,10 +290,6 @@ def _dos_enumerate(model: IsingModel) -> DensityOfStates:
 
 
 def _dos_cylinder_transfer(n_circ: int, l_len: int) -> DensityOfStates:
-    if n_circ > DOS_TRANSFER_CIRC_CAP:
-        raise CapExceededError(
-            f"n_circ {n_circ} exceeds density-of-states transfer cap {DOS_TRANSFER_CIRC_CAP}"
-        )
     n_tot = n_circ * l_len
     B = 2 * n_circ * l_len - n_circ
     dim = 1 << n_circ
@@ -323,10 +319,11 @@ def _dos_cylinder_transfer(n_circ: int, l_len: int) -> DensityOfStates:
 def density_of_states(model: IsingModel) -> DensityOfStates:
     """Exact g(b, m) table for a model with one shared coupling symbol.
 
-    Cylinder-tagged models go through the polynomial-valued transfer matrix;
-    everything else is enumerated directly.  Fields must be absent or
-    homogeneous (the table resolves the field dependence only through the
-    total magnetization).  Bond-free models are allowed (B = 0, Lee-Yang use).
+    Models whose bonds form a cylinder (cylinder_dims) with a ring of 3 to
+    DOS_TRANSFER_CIRC_CAP spins, periodic chains among them, go through the
+    polynomial-valued transfer matrix; all others are enumerated.  Fields must
+    be absent or homogeneous (the table resolves the field dependence only
+    through the total magnetization).  Bond-free models are allowed (B = 0, Lee-Yang use).
     """
     if model.bonds:
         model.homogeneous_coupling()
@@ -334,7 +331,7 @@ def density_of_states(model: IsingModel) -> DensityOfStates:
         h0 = model.fields[0].field
         if len(model.fields) != model.n_spins or any(f.field != h0 for f in model.fields):
             raise ValueError("density of states requires absent or homogeneous fields")
-    lat = model.lattice_info()
-    if lat.get("kind") == "cylinder" and lat["n_circ"] >= 3:
-        return _dos_cylinder_transfer(lat["n_circ"], lat["l_len"])
+    dims = cylinder_dims(model)
+    if dims is not None and 3 <= dims[0] <= DOS_TRANSFER_CIRC_CAP:
+        return _dos_cylinder_transfer(*dims)
     return _dos_enumerate(model)

@@ -208,6 +208,57 @@ class TestErrors:
         assert run(["--rerun-from", tmp_path / "bare.json", "--out", tmp_path / "b"]) == 2
         assert capsys.readouterr().err.startswith("error:")
 
+    @pytest.mark.parametrize("changes", [
+        {"task": "bogus"},
+        {"plane": "bogus", "window": None},
+        {"backend": "bogus"},
+    ], ids=["task", "plane", "backend"])
+    def test_rerun_config_with_unknown_choice_is_config_error(self, tmp_path, monkeypatch, capsys,
+                                                             changes):
+        assert run(["--task", "scan", "--model", "chain:3", "--res", "4x4",
+                    "--out", tmp_path / "a"]) == 0
+        doc = json.loads((tmp_path / "a.json").read_text())
+        doc["config"].update(changes)
+        (tmp_path / "bad.json").write_text(json.dumps(doc))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("work started before the config was checked")
+        monkeypatch.setattr("pfzeros.cli.parse_model", refuse)
+        assert run(["--rerun-from", tmp_path / "bad.json", "--out", tmp_path / "rerun"]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert not list(tmp_path.glob("rerun*"))
+
+    @pytest.mark.parametrize("task", [
+        ["--task", "noise", "--shots", "50"],
+        ["--task", "zeros", "--backend", "kicked", "--plane", "K"],
+    ], ids=["noise", "zeros-kicked"])
+    def test_kicked_k_plane_refuses_ring_of_two(self, tmp_path, monkeypatch, capsys, task):
+        # a ring of 2 carries one merged bond of 2K, so the kicked K plane does not
+        # share its zeros with the density of states, which counts that bond as K
+        def refuse(*args, **kwargs):
+            raise AssertionError("work started before the ring was checked")
+        monkeypatch.setattr("pfzeros.cli.scan", refuse)
+        if task[1] == "noise":
+            monkeypatch.setattr("pfzeros.cli.density_of_states", refuse)
+        assert run(task + ["--model", "cylinder:2x1", "--res", "6x6",
+                           "--out", tmp_path / "r"]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("tag", [
+        {"kind": "cylinder", "n_circ": 3, "l_len": 3},
+        {"kind": "cylinder"},
+    ], ids=["3x3-cylinder", "without-n_circ"])
+    def test_model_file_lattice_tag_is_not_read(self, tmp_path, capsys, tag):
+        # one bond between two spins, whatever the tag claims
+        doc = {"version": 1, "n_spins": 2, "bonds": [[0, 1, -0.3, 0.0]], "lattice": tag}
+        (tmp_path / "m.json").write_text(json.dumps(doc))
+        assert run(["--task", "zeros", "--plane", "x", "--model", tmp_path / "m.json",
+                    "--res", "8x8", "--out", tmp_path / "z"]) == 0
+        assert "Traceback" not in capsys.readouterr().err
+        roots = json.loads((tmp_path / "z.json").read_text())["polynomial_roots"]
+        assert len(roots) == 1  # Z = e^K (1 + x), degree 1 in x
+
     def test_bad_noise_cut_rejected_before_work(self, tmp_path):
         out = tmp_path / "n"
         assert run(["--task", "noise", "--model", "cylinder:3x2", "--res", "6x6",
@@ -362,3 +413,32 @@ class TestViewPlanes:
         # rejected before any scan or root-finding work, so nothing is written
         assert not (tmp_path / "x.csv").exists()
         assert not (tmp_path / "x.json").exists()
+
+
+_NUMPY_ONLY_CHILD = """
+import json, sys
+for name in ("scipy", "mpmath", "matplotlib", "hypothesis"):
+    sys.modules[name] = None  # any import of these now raises ImportError
+from pfzeros.cli import main
+out = sys.argv[1]
+runs = {
+    "zeros": ["--task", "zeros", "--model", "cylinder:3x3", "--res", "10x10"],
+    "noise": ["--task", "noise", "--model", "cylinder:3x2", "--res", "6x6", "--shots", "50"],
+    "corr": ["--task", "corr", "--model", "cylinder:3x2", "--backend", "kicked",
+             "--fixed-k=-0.25", "--sites", "0,0;1,1"],
+    "verify": ["--task", "verify", "--draws", "1"],
+    "counts": ["--task", "counts"],
+    "scan": ["--task", "scan", "--backend", "streamed", "--model", "cylinder:3x2",
+             "--res", "4x4"],
+}
+print(json.dumps({task: main(args + ["--out", out + "/" + task]) for task, args in runs.items()}))
+"""
+
+
+def test_cli_runs_on_numpy_alone(tmp_path):
+    # the runtime declares numpy as its only dependency; the test extra brings more
+    proc = subprocess.run([sys.executable, "-c", _NUMPY_ONLY_CHILD, str(tmp_path)],
+                          capture_output=True, text=True, env=child_env(), timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    codes = json.loads(proc.stdout.splitlines()[-1])
+    assert codes == dict.fromkeys(("zeros", "noise", "corr", "verify", "counts", "scan"), 0)

@@ -25,6 +25,16 @@ def test_kicked_k_plane_matches_kick_field_plane(n_circ, l_len):
         assert abs(a - b) < 1e-12
 
 
+@pytest.mark.parametrize("n_circ", [1, 2])
+def test_kicked_k_plane_refuses_rings_below_three(n_circ):
+    # a ring of 2 merges its two ring bonds into one of 2K (see build_cylinder)
+    with pytest.raises(ValueError):
+        KickedProbabilityEvaluator(n_circ, 2)
+    # the kick-field plane takes Kx as given, so it keeps rings of 2
+    if n_circ == 2:
+        assert np.isfinite(KickedFieldPlaneEvaluator(2, 2, -0.25).evaluate_grid(np.array([[0.3j]])))
+
+
 def _pointwise_log_l(evaluator, mesh):
     """Per-point loop over the one-point run_* backends, ln L = 2 ln|amp|."""
     values = np.full(mesh.shape, np.nan)

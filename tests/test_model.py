@@ -5,6 +5,7 @@ import pytest
 from pfzeros.model import (
     build_chain,
     build_cylinder,
+    cylinder_dims,
     from_edge_list,
     model_from_json,
     with_bond_delta,
@@ -94,6 +95,34 @@ def test_from_edge_list_rejects_out_of_range():
         from_edge_list(2, [], [(0, 0.1), (0, 0.2)])
 
 
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+@pytest.mark.parametrize("l", [1, 2, 3, 4])
+def test_cylinder_dims_of_cylinders(n, l):
+    assert cylinder_dims(build_cylinder(n, l, 0.1 + 0.2j, -0.3, 0.05)) == (n, l)
+
+
+@pytest.mark.parametrize("n", [3, 4, 6, 11, 30])
+def test_cylinder_dims_of_periodic_chain(n):
+    assert cylinder_dims(build_chain(n, periodic=True, K=0.2)) == (n, 1)
+
+
+@pytest.mark.parametrize("n", [3, 4, 6, 9])
+def test_open_chain_is_no_cylinder(n):
+    assert cylinder_dims(build_chain(n, K=0.2)) is None
+
+
+def test_cylinder_with_a_bond_left_out_is_no_cylinder():
+    full = build_cylinder(3, 3, 0.2, 0.2)
+    for k in range(full.bond_count):
+        bonds = [(b.i, b.j, b.coupling) for b in full.bonds[:k] + full.bonds[k + 1:]]
+        assert cylinder_dims(from_edge_list(9, bonds)) is None
+
+
+def test_cylinder_with_a_gained_bond_is_no_cylinder():
+    K = -0.3 + 0.2j
+    assert cylinder_dims(with_bond_delta(build_cylinder(3, 2, K, K), 0, 4, K)) is None
+
+
 @pytest.mark.parametrize(
     "model",
     [
@@ -109,7 +138,6 @@ def test_json_round_trip(model):
         "n_spins": model.n_spins,
         "bonds": [[b.i, b.j, b.coupling.real, b.coupling.imag] for b in model.bonds],
         "fields": [[f.i, f.field.real, f.field.imag] for f in model.fields],
-        "lattice": model.lattice_info() or None,
     }
     assert model_from_json(json.dumps(doc)) == model
 

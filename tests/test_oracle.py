@@ -7,7 +7,7 @@ import pytest
 
 from conftest import enumerate_correlation, enumerate_Z, random_complex, random_model
 from pfzeros.errors import CapExceededError, IllConditionedError
-from pfzeros.model import build_chain, build_cylinder, from_edge_list
+from pfzeros.model import build_chain, build_cylinder, cylinder_dims, from_edge_list, with_bond_delta
 from pfzeros.oracle import (
     LogComplex,
     _dos_enumerate,
@@ -221,6 +221,25 @@ class TestDensityOfStates:
         for dims in [(3, 2), (3, 3), (4, 2)]:
             m = build_cylinder(dims[0], dims[1], -0.2, -0.2)
             assert np.array_equal(density_of_states(m).table, _dos_enumerate(m).table)
+
+    @pytest.mark.parametrize("model, dims", [
+        *((build_chain(n, periodic=True, K=0.2), (n, 1)) for n in range(3, 11)),
+        *((build_cylinder(n, l, 0.2, 0.2), (n, l)) for n in (3, 4, 5) for l in (1, 2, 3)),
+    ])
+    def test_transfer_route_equals_enumeration(self, model, dims):
+        assert cylinder_dims(model) == dims  # so density_of_states takes the transfer route
+        assert np.array_equal(density_of_states(model).table, _dos_enumerate(model).table)
+
+    def test_cylinder_with_a_gained_bond_matches_brute_force(self):
+        # a bond outside the cylinder layout makes the model a general graph
+        K = -0.3 + 0.2j
+        model = with_bond_delta(build_cylinder(3, 2, K, K), 0, 4, K)
+        dos = density_of_states(model)
+        assert dos.bond_count == 10
+        x = cmath.exp(-2 * K)
+        z = cmath.exp(K * dos.bond_count) * sum(c * x**b for b, c in enumerate(dos.fisher_coefficients()))
+        expected = brute_force_Z(model)
+        assert abs(z - expected) <= 1e-10 * abs(expected)
 
     def test_inhomogeneous_rejected(self):
         m = from_edge_list(3, [(0, 1, 0.2), (1, 2, 0.3)])
