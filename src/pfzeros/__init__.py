@@ -26,8 +26,7 @@ from .correlations import (
 )
 from .errors import CapExceededError, ConvergenceError, IllConditionedError, PfzError
 from .evaluators import (
-    DosFisherEvaluator,
-    DosLeeYangEvaluator,
+    DosEvaluator,
     KickedCalibration,
     KickedProbabilityEvaluator,
     calibrate_kicked_relation,

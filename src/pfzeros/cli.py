@@ -10,7 +10,6 @@ violation (verify), 4 numerical failure.
 from __future__ import annotations
 
 import argparse
-import cmath
 import json
 import math
 import sys
@@ -24,8 +23,7 @@ from .circuits import compile_general, compile_kicked, kick_field_for_ky, resour
 from .correlations import KickedSetup, corr_cross_row, corr_norm_ratio, corr_same_row, probe_sign_table
 from .errors import PfzError
 from .evaluators import (
-    DosFisherEvaluator,
-    DosLeeYangEvaluator,
+    DosEvaluator,
     GeneralCircuitEvaluator,
     KickedFieldPlaneEvaluator,
     KickedProbabilityEvaluator,
@@ -33,14 +31,16 @@ from .evaluators import (
 )
 from .model import IsingModel, build_chain, build_cylinder, cylinder_dims, from_edge_list, model_from_json
 from .noise import detectability, noisy_scan
-from .oracle import DensityOfStates, brute_force_Z, correlation, density_of_states
+from .oracle import brute_force_Z, correlation, density_of_states
 from .statevector import run_effective, run_full, run_streamed
 from .zeros import (
+    ZERO_FAMILY,
     GridSpec,
     discs_disjoint,
     find_minima,
     inclusion_radii,
     map_roots,
+    plane_param,
     polynomial_coefficients,
     polynomial_roots,
     roots_of_polynomial,
@@ -232,52 +232,38 @@ def _require_cylinder(model: IsingModel, user: str) -> tuple[int, int]:
     return dims
 
 
-def _is_fisher(plane: str) -> bool:
-    return plane in ("x", "K", "tanhK")
-
-
 def _rebuild_with(model: IsingModel, coupling: complex, field_value: complex) -> IsingModel:
     bonds = [(b.i, b.j, coupling) for b in model.bonds]
     fields = [] if field_value == 0 else [(i, field_value) for i in range(model.n_spins)]
     return from_edge_list(model.n_spins, bonds, fields)
 
 
-def _oracle_evaluator(cfg: RunConfig, dos: DensityOfStates):
-    plane = cfg.resolved_plane()
-    if _is_fisher(plane):
-        return DosFisherEvaluator(dos, complex(*cfg.fixed_h), plane)
-    return DosLeeYangEvaluator(dos, complex(*cfg.fixed_k), plane)
+def _fixed_param(cfg: RunConfig, plane: str) -> complex:
+    """The parameter a polynomial plane holds fixed: H on Fisher planes, K on Lee-Yang planes."""
+    return complex(*(cfg.fixed_h if ZERO_FAMILY[plane] == "fisher" else cfg.fixed_k))
 
 
 def make_evaluator(cfg: RunConfig, model: IsingModel):
     plane = cfg.resolved_plane()
-    fixed_k = complex(*cfg.fixed_k)
-    fixed_h = complex(*cfg.fixed_h)
     if plane == "kickH":
         dims = _require_cylinder(model, "the kick-field plane")
         if cfg.backend not in ("oracle", "kicked"):
             raise ValueError("the kick-field plane takes the oracle or kicked backend")
-        return KickedFieldPlaneEvaluator(dims[0], dims[1], fixed_k)
-    if cfg.backend == "oracle":
-        return _oracle_evaluator(cfg, density_of_states(model))
+        return KickedFieldPlaneEvaluator(dims[0], dims[1], complex(*cfg.fixed_k))
     if cfg.backend == "kicked":
         if plane != "K":
             raise ValueError("kicked backend needs plane K")
         return KickedProbabilityEvaluator(*_require_cylinder(model, "kicked backend"))
+    fixed = _fixed_param(cfg, plane)
+    if cfg.backend == "oracle":
+        return DosEvaluator(density_of_states(model), fixed, plane)
     # circuit backends compile the general scheme per grid point
-    if _is_fisher(plane):
-        def factory(w: complex) -> IsingModel:
-            if plane == "K":
-                k = w
-            elif plane == "tanhK":
-                k = cmath.atanh(w)
-            else:
-                k = -cmath.log(w) / 2.0
-            return _rebuild_with(model, k, fixed_h)
-    else:
-        def factory(w: complex) -> IsingModel:
-            h = w if plane == "H" else -cmath.log(w) / 2.0
-            return _rebuild_with(model, fixed_k, h)
+    fisher = ZERO_FAMILY[plane] == "fisher"
+
+    def factory(w: complex) -> IsingModel:
+        param = plane_param(plane, w)
+        return _rebuild_with(model, param, fixed) if fisher else _rebuild_with(model, fixed, param)
+
     return GeneralCircuitEvaluator(factory, cfg.backend)
 
 
@@ -373,31 +359,17 @@ def cmd_zeros(cfg: RunConfig) -> int:
     if plane == "kickH":
         raise ValueError("zeros task does not support the kick-field plane; scan it instead")
     model = parse_model(cfg.model, complex(*cfg.fixed_k), complex(*cfg.fixed_h))
-    dos = density_of_states(model)
-    evaluator = (_oracle_evaluator(cfg, dos) if cfg.backend == "oracle"
-                 else make_evaluator(cfg, model))
-    grid = scan(evaluator, spec)
-    write_grid_csv(cfg.out + ".csv", cfg, spec, grid.values)
-    minima = find_minima(grid, rel_threshold=None)
-
-    which = "fisher" if _is_fisher(plane) else "lee_yang"
-    fixed = complex(*cfg.fixed_h) if which == "fisher" else complex(*cfg.fixed_k)
-    coeffs = polynomial_coefficients(dos, which, fixed)
+    # the evaluator checks backend and plane before any density of states is built
+    evaluator = make_evaluator(cfg, model)
+    which = ZERO_FAMILY[plane]
+    coeffs = (evaluator.coeffs if cfg.backend == "oracle" else
+              polynomial_coefficients(density_of_states(model), which, _fixed_param(cfg, plane)))
     roots = roots_of_polynomial(coeffs)
     radii = inclusion_radii(coeffs, roots)
-    if plane in ("K", "H"):
-        in_window = map_roots(roots, spec, plane)
-    else:
-        views = roots
-        if plane == "tanhK":
-            # roots at x = -1 (K on the i pi/2 lattice) have no finite tanh view
-            with np.errstate(divide="ignore", invalid="ignore"):
-                views = (1.0 - roots) / (1.0 + roots)
-        in_window = sorted(
-            (complex(v) for r, v in zip(roots, views)
-             if r != 0 and np.isfinite(v) and spec.contains(complex(v))),
-            key=lambda w: (w.real, w.imag),
-        )
+    in_window = map_roots(roots, spec, plane)
+    grid = scan(evaluator, spec)
+    write_grid_csv(cfg.out + ".csv", cfg, spec, grid.values)
+    minima = find_minima(grid)
 
     # Chebyshev distance in cells between every in-window root and every minimum
     dre, dim = spec.cell_size()

@@ -304,10 +304,7 @@ def corr_cross_row(
     terms, which is only valid for a field-free base model (single-spin means
     vanish by symmetry); models with longitudinal fields are rejected.
     """
-    (ia, ra), (ib, rb) = site_a, site_b
-    ProbeSpec("cross_row_real", (site_a, site_b), delta)
-    if ra == rb:
-        raise ValueError("cross-row probe needs sites in different rows")
+    ProbeSpec("cross_row_real", (site_a, site_b), delta)  # rejects sites in one row
     if setup.base_model().fields:
         raise ValueError("cross-row probes require a base model without longitudinal fields")
     signs = probe_sign_table()

@@ -2,13 +2,15 @@
 
 Every evaluator yields ln of the scanned quantity (|Z|^2 for oracle backends,
 the return probability L for protocol backends) at scan-plane points.  Every
-evaluator offers only `evaluate_grid(mesh)`; the circuit evaluator batches it.
-Plane conventions:
+evaluator offers `evaluate_grid(mesh)`; the circuit evaluator batches it.
+The scan planes and their maps live in `pfzeros.zeros` (ZERO_FAMILY,
+plane_to_poly, plane_param); on the five polynomial planes the oracle scans
 
-* Fisher planes: "x" scans x = e^{-2K} and strips the e^{K B} prefactor (the
-  scanned quantity is the reduced polynomial |sum_b c_b x^b|^2, which shares
-  its zeros with Z); "K" scans the coupling itself with |Z|^2 absolute.
-* Lee-Yang planes: "z" scans z = e^{-2H} (reduced), "H" the field (absolute).
+* K and H: |Z|^2 itself;
+* x and z: the prefactor-stripped polynomial |sum_b c_b x^b|^2, which shares
+  its zeros with Z;
+* tanhK: |Z / cosh^B K|^2 = |(1+w)^B P(x)|^2 with w = tanh K, the
+  high-temperature polynomial in w, which has no pole at w = -1.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import numpy as np
 from .circuits import compile_general, compile_kicked, kicked_log_factor
 from .oracle import DensityOfStates, transfer_matrix_Z_grid
 from .statevector import run_effective, run_full, run_streamed
-from .zeros import _horner
+from .zeros import ZERO_FAMILY, _horner, plane_to_poly, polynomial_coefficients
 
 
 def _poly_log_abs(coeffs: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -44,69 +46,32 @@ def _poly_log_abs(coeffs: np.ndarray, w: np.ndarray) -> np.ndarray:
     return out + math.log(scale)
 
 
-def _poly_eval_scaled(coeffs: np.ndarray, w: complex) -> complex:
-    """Normalized complex polynomial value (for Newton refinement)."""
-    c = np.asarray(coeffs, dtype=np.complex128)
-    return _horner(c / np.max(np.abs(c)), w)
+class DosEvaluator:
+    """ln |Z|^2-style values from a density-of-states polynomial on any of the
+    five polynomial planes (see the module docstring); `fixed` is the field H
+    on Fisher planes and the coupling K on Lee-Yang planes."""
 
-
-class DosFisherEvaluator:
-    """log |Z|^2-style values from a density-of-states polynomial, Fisher planes.
-
-    Planes, named as the CLI's --plane: "x" scans x = e^{-2K} directly, "K"
-    the coupling (absolute |Z|^2), "tanhK" the view w = tanh K, i.e.
-    x = (1-w)/(1+w) (prefactor-stripped, like the x plane).
-    """
-
-    def __init__(self, dos: DensityOfStates, fixed_h: complex = 0j, plane: str = "x"):
-        if plane not in ("x", "K", "tanhK"):
-            raise ValueError("Fisher plane must be 'x', 'K' or 'tanhK'")
-        self.dos = dos
-        self.fixed_h = complex(fixed_h)
+    def __init__(self, dos: DensityOfStates, fixed: complex, plane: str):
+        if plane not in ZERO_FAMILY:
+            raise ValueError(f"no density-of-states polynomial on plane {plane!r}")
         self.plane = plane
-        self.coeffs = dos.fisher_coefficients(H=self.fixed_h)
-
-    def _to_x(self, w):
-        if self.plane == "x":
-            return w
-        if self.plane == "K":
-            return np.exp(-2.0 * w)
-        return (1.0 - w) / (1.0 + w)
+        self.coeffs = polynomial_coefficients(dos, ZERO_FAMILY[plane], complex(fixed))
 
     def evaluate_grid(self, mesh: np.ndarray) -> np.ndarray:
+        degree = len(self.coeffs) - 1  # B on Fisher planes, N on Lee-Yang planes
         with np.errstate(divide="ignore", invalid="ignore"):
-            x = self._to_x(mesh)
-            values = 2.0 * _poly_log_abs(self.coeffs, x)
-            if self.plane == "K":
-                values += 2.0 * self.dos.bond_count * mesh.real
+            values = 2.0 * _poly_log_abs(self.coeffs, plane_to_poly(self.plane, mesh))
+            if self.plane in ("K", "H"):
+                values += 2.0 * degree * mesh.real
+            elif self.plane == "tanhK":
+                values += 2.0 * degree * np.log(np.abs(1.0 + mesh))
         return values
 
     def newton_z(self):
         """Complex reduced-Z evaluator in the scan plane for refine_newton."""
-        return lambda w: _poly_eval_scaled(self.coeffs, complex(np.asarray(self._to_x(w))))
-
-
-class DosLeeYangEvaluator:
-    """Lee-Yang planes from a density-of-states polynomial at fixed coupling."""
-
-    def __init__(self, dos: DensityOfStates, fixed_k: complex, plane: str = "z"):
-        if plane not in ("z", "H"):
-            raise ValueError("Lee-Yang plane must be 'z' or 'H'")
-        self.dos = dos
-        self.fixed_k = complex(fixed_k)
-        self.plane = plane
-        self.coeffs = dos.lee_yang_coefficients(K=self.fixed_k)
-
-    def evaluate_grid(self, mesh: np.ndarray) -> np.ndarray:
-        if self.plane == "z":
-            return 2.0 * _poly_log_abs(self.coeffs, mesh)
-        z = np.exp(-2.0 * mesh)
-        return 2.0 * (_poly_log_abs(self.coeffs, z) + self.dos.n_spins * mesh.real)
-
-    def newton_z(self):
-        if self.plane == "z":
-            return lambda w: _poly_eval_scaled(self.coeffs, w)
-        return lambda w: _poly_eval_scaled(self.coeffs, np.exp(-2.0 * w))
+        c = np.asarray(self.coeffs, dtype=np.complex128)
+        c = c / np.max(np.abs(c))
+        return lambda w: _horner(c, complex(plane_to_poly(self.plane, w)))
 
 
 def _kicked_log_L(n: int, L: int, Kx: np.ndarray, Ky: np.ndarray, H: np.ndarray) -> np.ndarray:

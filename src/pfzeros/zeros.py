@@ -1,6 +1,7 @@
 """Locating Fisher and Lee-Yang zeroes.
 
-Dense complex-plane scans with local-minima detection, and the roots of the
+The five scan planes and their maps to the polynomial variable, dense
+complex-plane scans with local-minima detection, and the roots of the
 density-of-states polynomial: exact roots at the origin and at +-1 split off,
 the rest found by Aberth-Ehrlich and certified by Weierstrass inclusion
 discs.  A complex Newton iteration with numerical derivatives refines a zero
@@ -9,6 +10,7 @@ of any complex-Z evaluator.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -21,6 +23,30 @@ POLY_DEGREE_CAP = 256
 GRID_POINT_CAP = 1 << 22  # a 2048x2048 grid; its complex mesh alone takes 64 MiB
 ABERTH_TOL, ABERTH_MAX_ITER = 1e-12, 200
 NEWTON_TOL, NEWTON_MAX_ITER = 1e-10, 50
+
+# Scan planes with a density-of-states polynomial: Fisher planes hold the field
+# H fixed and scan the coupling K, Lee-Yang planes hold K fixed and scan H.
+ZERO_FAMILY = {"x": "fisher", "K": "fisher", "tanhK": "fisher", "z": "lee_yang", "H": "lee_yang"}
+
+
+def plane_to_poly(plane: str, w):
+    """The polynomial variable x = e^{-2K} (Fisher) or z = e^{-2H} (Lee-Yang)
+    at scan points w of a plane; elementwise on arrays."""
+    if plane in ("K", "H"):
+        return np.exp(-2.0 * w)
+    if plane == "tanhK":
+        return (1.0 - w) / (1.0 + w)
+    return w
+
+
+def plane_param(plane: str, w: complex) -> complex:
+    """The coupling K (Fisher planes) or field H (Lee-Yang planes) at one scan
+    point; ValueError where the point has none (x = 0, z = 0, tanhK = +-1)."""
+    if plane in ("K", "H"):
+        return w
+    if plane == "tanhK":
+        return cmath.atanh(w)
+    return -cmath.log(w) / 2.0
 
 
 @dataclass(frozen=True)
@@ -116,19 +142,10 @@ def minima_mask(v: np.ndarray, compare) -> np.ndarray:
     return mask
 
 
-def find_minima(grid: ScanGrid, rel_threshold: float = 1e-2) -> list[MinimumCandidate]:
-    """Strict 8-neighborhood local minima on interior cells.
-
-    Values are log-scale, so the linear-scale threshold `value <=
-    rel_threshold * median` becomes value <= median + ln(rel_threshold).
-    """
+def find_minima(grid: ScanGrid) -> list[MinimumCandidate]:
+    """Strict 8-neighborhood local minima on interior cells; NaN cells never qualify."""
     v = grid.values
-    finite = v[np.isfinite(v)]
-    cutoff = np.inf
-    if finite.size and rel_threshold is not None:
-        cutoff = float(np.median(finite)) + math.log(rel_threshold)
-    v_inf = np.where(np.isnan(v), np.inf, v)
-    is_min = minima_mask(v_inf, np.less) & (v_inf <= cutoff)
+    is_min = minima_mask(np.where(np.isnan(v), np.inf, v), np.less)
     is_min[0, :] = is_min[-1, :] = False
     is_min[:, 0] = is_min[:, -1] = False
     re = grid.spec.re_points()
@@ -355,24 +372,30 @@ def polynomial_roots(
 
 
 def map_roots(roots, window: GridSpec, variable: str = "K") -> list[complex]:
-    """All logarithm preimages K = -ln(x)/2 (or H = -ln(z)/2) inside the window.
+    """Scan-plane points of polynomial roots inside the window, sorted by (re, im).
 
-    The branch lattice has imaginary period pi.  Roots at the origin have no
-    finite preimage and are skipped (count them in the caller's report).
+    On K and H every logarithm preimage -ln(x)/2 counts; the branch lattice
+    has imaginary period pi.  On x, z and tanhK a root's point is
+    plane_to_poly of the root, since the tanh map is its own inverse.  Roots at
+    the origin, and roots with no finite point (x = -1 on tanhK), are skipped.
     """
-    if variable not in ("K", "H"):
-        raise ValueError("variable must be 'K' or 'H'")
+    if variable not in ZERO_FAMILY:
+        raise ValueError(f"unknown scan plane {variable!r}")
+    roots = np.asarray(roots, dtype=np.complex128)
     out: list[complex] = []
-    for x in np.asarray(roots, dtype=np.complex128):
-        if x == 0:
-            continue
-        base = -(math.log(abs(x)) + 1j * math.atan2(x.imag, x.real)) / 2.0
-        if not (window.re_min <= base.real <= window.re_max):
-            continue
-        k_lo = math.ceil((window.im_min - base.imag) / math.pi)
-        k_hi = math.floor((window.im_max - base.imag) / math.pi)
-        for k in range(k_lo, k_hi + 1):
-            out.append(base + 1j * math.pi * k)
+    if variable in ("K", "H"):
+        for x in roots[roots != 0]:
+            base = -(math.log(abs(x)) + 1j * math.atan2(x.imag, x.real)) / 2.0
+            if not (window.re_min <= base.real <= window.re_max):
+                continue
+            k_lo = math.ceil((window.im_min - base.imag) / math.pi)
+            k_hi = math.floor((window.im_max - base.imag) / math.pi)
+            out.extend(base + 1j * math.pi * k for k in range(k_lo, k_hi + 1))
+    else:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            views = plane_to_poly(variable, roots)
+        out = [complex(v) for r, v in zip(roots, views)
+               if r != 0 and np.isfinite(v) and window.contains(complex(v))]
     out.sort(key=lambda w: (w.real, w.imag))
     return out
 
@@ -382,8 +405,6 @@ def rescale_from_x(x, variable: str):
     x = np.asarray(x, dtype=np.complex128)
     if variable == "x":
         return x
-    if variable == "tanh_k":
-        return (1.0 - x) / (1.0 + x)
     if variable == "sinh_2k":
         return (1.0 - x * x) / (2.0 * x)
     raise ValueError(f"unknown rescale variable {variable!r}")

@@ -15,8 +15,7 @@ from pfzeros.circuits import compile_general, compile_kicked, kicked_log_factor,
 from pfzeros.correlations import KickedSetup, corr_cross_row, corr_norm_ratio, corr_same_row
 from pfzeros.errors import IllConditionedError
 from pfzeros.evaluators import (
-    DosFisherEvaluator,
-    DosLeeYangEvaluator,
+    DosEvaluator,
     KickedProbabilityEvaluator,
     calibrate_kicked_relation,
 )
@@ -148,9 +147,9 @@ def test_criterion_5_fisher_zeroes():
     roots = polynomial_roots(dos, "fisher", 0j)
     spec = GridSpec(-0.62, 0.63, -1.45, 1.47, 100, 100, "K")
     mapped = map_roots(roots, spec, "K")
-    ev = DosFisherEvaluator(dos, 0j, "K")
+    ev = DosEvaluator(dos, 0j, "K")
     grid = scan(ev, spec)
-    minima = find_minima(grid, rel_threshold=None)
+    minima = find_minima(grid)
     dre, dim = spec.cell_size()
     worst_cell = 0.0
     for root in mapped:
@@ -200,7 +199,7 @@ def test_criterion_6_lee_yang_axis():
     window = GridSpec(-1.0, 1.0, 0.0, math.pi, 4, 4, "H")
     mapped = map_roots(roots, window, "H")
     assert mapped  # the scan window contains zeroes
-    ev = DosLeeYangEvaluator(dos, k_ferro, "H")
+    ev = DosEvaluator(dos, k_ferro, "H")
     newton_eval = ev.newton_z()
     worst = 0.0
     for h0 in mapped:

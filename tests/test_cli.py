@@ -301,6 +301,14 @@ class TestErrors:
         assert capsys.readouterr().err.startswith("numerical failure:")
         assert not (tmp_path / "n_true.csv").exists()
 
+    def test_zeros_backend_plane_checked_before_dos(self, tmp_path, capsys):
+        # 8x8 counts pass the exact float64 range, but the plane is a config error first
+        assert run(["--task", "zeros", "--backend", "kicked", "--plane", "x",
+                    "--model", "cylinder:8x8", "--out", tmp_path / "k"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "kicked backend needs plane K" in err
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("draws", ["0", "-1"])
     def test_verify_without_draws_is_config_error(self, tmp_path, capsys, draws):
         assert run(["--task", "verify", "--draws", draws, "--out", tmp_path / "v"]) == 2
@@ -386,6 +394,15 @@ class TestViewPlanes:
                     "--res", "12x12", "--out", out]) == 0
         lines = (tmp_path / "tk.csv").read_text().splitlines()
         assert len(lines) == 2 + 144
+
+    def test_tanh_k_zeros_match_scan_minima(self, tmp_path):
+        # the scan is |Z / cosh^B K|^2, free of the pole at tanh K = -1 that
+        # |P(x)|^2 carries, so every in-window root sits within a cell of a minimum
+        assert run(["--task", "zeros", "--model", "cylinder:3x3", "--plane", "tanhK",
+                    "--out", tmp_path / "tz"]) == 0
+        matches = json.loads((tmp_path / "tz.json").read_text())["matches"]
+        assert len(matches) == 8
+        assert all(m["minimum_cell_distance"] <= 1.0 for m in matches)
 
     def test_kick_field_plane_scan(self, tmp_path):
         out = tmp_path / "kh"

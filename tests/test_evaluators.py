@@ -103,3 +103,31 @@ def test_circuit_grid_peak_memory_bounded_by_block():
         tracemalloc.stop()
     assert np.isfinite(values).all()
     assert peak < 4 * 2**20
+
+
+# ln|Z|^2 minus the oracle's value on each polynomial plane, from its scan point w
+_ORACLE_CORRECTION = {
+    "K": lambda w, B, N: 0.0,
+    "H": lambda w, B, N: 0.0,
+    "x": lambda w, B, N: -B * np.log(np.abs(w)),
+    "z": lambda w, B, N: -N * np.log(np.abs(w)),
+    "tanhK": lambda w, B, N: -B * np.log(np.abs(1.0 - w * w)),
+}
+
+
+@pytest.mark.parametrize("plane", ["x", "K", "tanhK", "z", "H"])
+def test_oracle_planes_match_effective_circuit(plane):
+    # the effective circuit gives L = |Z|^2 / 4^N, so each plane's map and
+    # prefactor are pinned against one independent ln|Z|^2
+    model, window = "cylinder:3x2", (0.15, 0.55, 0.1, 0.5)
+    common = dict(model=model, task="scan", plane=plane, window=window, res=(4, 4),
+                  fixed_k=(-0.3, 0.1), fixed_h=(0.05, 0.02))
+    oracle_cfg = RunConfig(**common)
+    ising = parse_model(model, complex(*oracle_cfg.fixed_k), complex(*oracle_cfg.fixed_h))
+    mesh = oracle_cfg.grid_spec().mesh()
+    oracle = make_evaluator(oracle_cfg, ising).evaluate_grid(mesh)
+    effective = make_evaluator(RunConfig(**common, backend="effective"), ising).evaluate_grid(mesh)
+    B, N = ising.bond_count, ising.n_spins
+    got = oracle + _ORACLE_CORRECTION[plane](mesh, B, N)
+    assert np.isfinite(got).all()
+    assert np.max(np.abs(got - (effective + 2 * N * math.log(2.0)))) < 1e-12

@@ -8,7 +8,7 @@ from scipy.optimize import linear_sum_assignment
 
 from conftest import Pointwise
 from pfzeros.errors import CapExceededError, ConvergenceError
-from pfzeros.evaluators import DosFisherEvaluator, DosLeeYangEvaluator
+from pfzeros.evaluators import DosEvaluator
 from pfzeros.model import build_chain, build_cylinder, from_edge_list
 from pfzeros.oracle import density_of_states
 from pfzeros.zeros import (
@@ -20,6 +20,7 @@ from pfzeros.zeros import (
     find_minima,
     inclusion_radii,
     map_roots,
+    plane_to_poly,
     polynomial_coefficients,
     polynomial_roots,
     refine_newton,
@@ -72,7 +73,7 @@ class TestScan:
         # |2 cosh(H)|^2 vanishes at H = i pi/2
         spec = GridSpec(-1, 1, 0, math.pi, 61, 63, "H")
         grid = scan(Pointwise(lambda w: math.log(abs(2 * cmath.cosh(w)) ** 2 + 1e-300)), spec)
-        cands = find_minima(grid, rel_threshold=1e-2)
+        cands = find_minima(grid)
         assert len(cands) == 1
         dre, dim = spec.cell_size()
         target = 1j * math.pi / 2
@@ -91,18 +92,18 @@ class TestFindMinima:
     def test_monotone_grid_empty(self):
         spec = GridSpec(0, 1, 0, 1, 8, 8)
         grid = scan(Pointwise(lambda w: w.real + 2 * w.imag), spec)
-        assert find_minima(grid, rel_threshold=None) == []
+        assert find_minima(grid) == []
 
     def test_single_deep_minimum(self):
         spec = GridSpec(-1, 1, -1, 1, 21, 21)
         grid = scan(Pointwise(lambda w: 2 * math.log(abs(w - (0.1 + 0.2j)) + 1e-12)), spec)
-        cands = find_minima(grid, rel_threshold=1e-2)
+        cands = find_minima(grid)
         assert len(cands) == 1
 
     def test_border_cells_excluded(self):
         spec = GridSpec(0, 1, 0, 1, 6, 6)
         grid = scan(Pointwise(lambda w: abs(w) ** 2), spec)  # minimum at the corner
-        assert find_minima(grid, rel_threshold=None) == []
+        assert find_minima(grid) == []
 
     def test_threshold_cuts_shallow_minima(self):
         spec = GridSpec(-1, 1, -1, 1, 21, 23)
@@ -110,8 +111,7 @@ class TestFindMinima:
         values[5, 5] = -0.5  # shallow dip
         values[11, 11] = -30.0  # deep zero
         grid = ScanGrid(spec, values)
-        assert len(find_minima(grid, rel_threshold=None)) == 2
-        assert len(find_minima(grid, rel_threshold=1e-3)) == 1
+        assert len(find_minima(grid)) == 2
 
 
 class TestNewton:
@@ -285,13 +285,20 @@ class TestMapRoots:
         window = GridSpec(-0.1, 0.1, -4, 4, 4, 4, "K")
         assert map_roots([5.0 + 0j], window, "K") == []  # Re K = -ln(5)/2 outside
 
+    def test_polynomial_variable_planes(self):
+        # x and z take the root itself, tanhK its image (1-x)/(1+x); x = -1 has none
+        window = GridSpec(-2, 2, -2, 2, 4, 4, "tanhK")
+        roots = [0j, -1.0 + 0j, 0.5 + 0j, 3.0 + 0j]
+        assert map_roots(roots, window, "x") == map_roots(roots, window, "z") == [-1.0, 0.5]
+        assert map_roots(roots, window, "tanhK") == pytest.approx([-0.5, 1.0 / 3.0])
+
 
 class TestRescaling:
     def test_variables(self):
         x = np.array([0.5 + 0.1j])
         k = -np.log(x) / 2
         assert rescale_from_x(x, "x")[0] == x[0]
-        assert rescale_from_x(x, "tanh_k")[0] == pytest.approx(np.tanh(k)[0])
+        assert plane_to_poly("tanhK", x)[0] == pytest.approx(np.tanh(k)[0])
         assert rescale_from_x(x, "sinh_2k")[0] == pytest.approx(np.sinh(2 * k)[0])
         with pytest.raises(ValueError):
             rescale_from_x(x, "bogus")
@@ -307,9 +314,9 @@ class TestRootScanConsistency:
         roots = polynomial_roots(dos, "fisher", 0j)
         spec = GridSpec(-0.62, 0.63, -1.45, 1.47, 100, 100, "K")
         mapped = map_roots(roots, spec, "K")
-        ev = DosFisherEvaluator(dos, 0j, "K")
+        ev = DosEvaluator(dos, 0j, "K")
         grid = scan(ev, spec)
-        cands = find_minima(grid, rel_threshold=None)
+        cands = find_minima(grid)
         # candidate count equals the in-window root count at this resolution
         assert len(cands) == len(mapped) == 8
         dre, dim = spec.cell_size()
@@ -326,7 +333,7 @@ class TestRootScanConsistency:
         assert np.max(np.abs(np.abs(roots) - 1.0)) < 1e-9  # Lee-Yang circle
         window = GridSpec(-1, 1, 0, math.pi, 4, 4, "H")
         hs = map_roots(roots, window, "H")
-        ev = DosLeeYangEvaluator(dos, -0.3, "H")
+        ev = DosEvaluator(dos, -0.3, "H")
         nz = ev.newton_z()
         for h0 in hs:
             est = refine_newton(nz, h0 + 0.002 + 0.001j, step_scale=0.5)
