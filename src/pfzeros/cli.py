@@ -86,6 +86,13 @@ class RunConfig:
     draws: int = 5
     inject_error: bool = False
 
+    def __post_init__(self) -> None:
+        # argparse and JSON both accept nan and inf, which would run to NaN outputs
+        for name in ("window", "fixed_k", "fixed_h", "delta"):
+            value = getattr(self, name)
+            if value is not None and not np.isfinite(value).all():
+                raise ValueError(f"config field {name!r} must be finite, got {value!r}")
+
     def resolved_plane(self) -> str:
         if self.plane is not None:
             return self.plane
@@ -346,6 +353,7 @@ def cmd_scan(cfg: RunConfig) -> int:
         "task": "scan",
         "plane": spec.plane_tag,
         "value_kind": "ln L" if cfg.backend != "oracle" or spec.plane_tag == "kickH"
+        else "ln |Z / cosh^B K|^2" if spec.plane_tag == "tanhK"
         else "ln |Z|^2 (prefactor-stripped in x/z planes)",
         "finite_cells": int(np.isfinite(grid.values).sum()),
     })

@@ -4,7 +4,7 @@ Three independent routes are provided: direct configuration sums
 (brute_force_Z), row-to-row transfer operators for cylinders
 (transfer_matrix_Z), and integer density-of-states tables that render Z as a
 polynomial in x = exp(-2K) and z = exp(-2H) (density_of_states).  All
-operations are pure.
+enumerations read configurations from one spin-row kernel.  All operations are pure.
 """
 
 from __future__ import annotations
@@ -66,16 +66,25 @@ def _wrap_phase(p: float) -> float:
     return p
 
 
-def _spin_matrix(idx: np.ndarray, n: int) -> np.ndarray:
-    """Spins (+1 for bit 0) for each configuration index, shape (len(idx), n)."""
-    return 1 - 2 * ((idx[:, None] >> np.arange(n)[None, :]) & 1).astype(np.int8)
-
-
-def _config_chunks(n: int):
+def _spin_rows(n: int):
+    """The 2^n configurations in index order, as (n, chunk) boolean arrays of up
+    to 2^_CHUNK_BITS columns; row i is True where spin i is up (bit i is 0)."""
     total = 1 << n
     step = min(total, 1 << _CHUNK_BITS)
     for start in range(0, total, step):
-        yield np.arange(start, min(start + step, total), dtype=np.int64)
+        idx = np.arange(start, min(start + step, total), dtype=np.int64)
+        up = np.empty((n, idx.size), dtype=bool)
+        for i in range(n):
+            np.equal(idx & (1 << i), 0, out=up[i])
+        yield up
+
+
+def _aligned_count(up: np.ndarray, pairs) -> np.ndarray:
+    """Aligned (i, j) pairs in each configuration of a spin-row chunk."""
+    aligned = np.zeros(up.shape[1], dtype=np.int64)
+    for i, j in pairs:
+        aligned += up[i] == up[j]
+    return aligned
 
 
 def _kahan_add(total: complex, comp: complex, term: complex) -> tuple[complex, complex]:
@@ -89,8 +98,8 @@ def _weighted_sums(model: IsingModel, observable=None, cap: int = BRUTE_FORCE_CA
     """Sum of weights (and optionally observable-weighted sum) over all configs.
 
     Returns (Z, obs_sum, weight_scale) where weight_scale = sum |w| tracks
-    conditioning.  Chunked with compensated cross-chunk summation in a fixed
-    partition order.
+    conditioning; observable maps a spin-row chunk to per-configuration values.
+    Chunked with compensated cross-chunk summation in a fixed partition order.
     """
     n = model.n_spins
     if n > cap:
@@ -98,18 +107,18 @@ def _weighted_sums(model: IsingModel, observable=None, cap: int = BRUTE_FORCE_CA
     z_total, z_comp = 0j, 0j
     o_total, o_comp = 0j, 0j
     scale = 0.0
-    for idx in _config_chunks(n):
-        s = _spin_matrix(idx, n).astype(np.float64)
-        expo = np.zeros(len(idx), dtype=np.complex128)
+    for up in _spin_rows(n):
+        # where(.., c, -c) is c * s_i s_j exactly; a zero's sign differs, but expo starts at +0
+        expo = np.zeros(up.shape[1], dtype=np.complex128)
         for b in model.bonds:
-            expo += b.coupling * (s[:, b.i] * s[:, b.j])
+            expo += np.where(up[b.i] == up[b.j], b.coupling, -b.coupling)
         for f in model.fields:
-            expo += f.field * s[:, f.i]
+            expo += np.where(up[f.i], f.field, -f.field)
         w = np.exp(-expo)
         z_total, z_comp = _kahan_add(z_total, z_comp, complex(np.sum(w)))
         scale += float(np.sum(np.abs(w)))
         if observable is not None:
-            o = observable(s)
+            o = observable(up)
             o_total, o_comp = _kahan_add(o_total, o_comp, complex(np.sum(o * w)))
     return z_total, o_total, scale
 
@@ -137,7 +146,7 @@ def correlation(model: IsingModel, i: int, j: int) -> complex:
         raise ValueError("spin index out of range")
     if i == j:
         return 1.0 + 0j
-    z, num, scale = _weighted_sums(model, observable=lambda s: s[:, i] * s[:, j])
+    z, num, scale = _weighted_sums(model, lambda up: np.where(up[i] == up[j], 1.0, -1.0))
     if abs(z) <= 1e-12 * scale:
         raise IllConditionedError(
             f"|Z| = {abs(z):.3e} is below tolerance at this point; correlation undefined"
@@ -145,21 +154,11 @@ def correlation(model: IsingModel, i: int, j: int) -> complex:
     return num / z
 
 
-def _ring_energy(n_circ: int) -> np.ndarray:
-    """sum_i s_i s_{i+1 mod n} for each ring configuration (int array, 2^n)."""
-    dim = 1 << n_circ
-    idx = np.arange(dim, dtype=np.int64)
-    s = _spin_matrix(idx, n_circ).astype(np.int64)
-    e = np.zeros(dim, dtype=np.int64)
-    for i in range(n_circ):
-        e += s[:, i] * s[:, (i + 1) % n_circ]
-    return e
-
-
-def _row_magnetization(n_circ: int) -> np.ndarray:
-    dim = 1 << n_circ
-    idx = np.arange(dim, dtype=np.int64)
-    return (_spin_matrix(idx, n_circ).astype(np.int64)).sum(axis=1)
+def _ring_counts(n_circ: int) -> tuple[np.ndarray, np.ndarray]:
+    """(aligned bonds (i, i+1 mod n), up spins) per ring configuration; a ring of
+    2 counts (0,1) and (1,0), as build_cylinder's merged double bond does."""
+    (up,) = _spin_rows(n_circ)
+    return _aligned_count(up, ((i, (i + 1) % n_circ) for i in range(n_circ))), up.sum(axis=0)
 
 
 def transfer_matrix_Z_grid(
@@ -173,8 +172,7 @@ def transfer_matrix_Z_grid(
 
     Row-to-row contraction with a per-site factorized inter-row kernel
     (O(L * n * 2^n) per point) and per-row rescaling, so 7x7 magnitudes never
-    overflow.  The ring energy for n_circ = 2 counts both (0,1) and (1,0),
-    matching the merged double bond of build_cylinder.
+    overflow.
 
     Points are contracted in fixed blocks of _TRANSFER_BLOCK (256), each held
     point-minor as v[state, point], so every elementwise step runs over
@@ -194,8 +192,9 @@ def transfer_matrix_Z_grid(
     npts = max(Kx.size, Ky.size, H.size)
     Kx, Ky, H = (np.broadcast_to(a, (npts,)) for a in (Kx, Ky, H))
 
-    ring = _ring_energy(n_circ).astype(np.float64)
-    mag = _row_magnetization(n_circ).astype(np.float64)
+    aligned, ups = _ring_counts(n_circ)
+    ring = (2 * aligned - n_circ).astype(np.float64)  # sum_i s_i s_{i+1}
+    mag = (2 * ups - n_circ).astype(np.float64)
     log_acc = np.zeros(npts, dtype=np.float64)
     z = np.empty(npts, dtype=np.complex128)
     for lo in range(0, npts, _TRANSFER_BLOCK):
@@ -276,15 +275,11 @@ def _dos_enumerate(model: IsingModel) -> DensityOfStates:
     n, B = model.n_spins, model.bond_count
     if n > DOS_ENUMERATION_CAP:
         raise CapExceededError(f"{n} spins exceeds density-of-states cap {DOS_ENUMERATION_CAP}")
-    counts = np.zeros((B + 1) * (n + 1), dtype=np.float64)
-    for idx in _config_chunks(n):
-        bits = (idx[:, None] >> np.arange(n)[None, :]) & 1
-        mismatch = np.zeros(len(idx), dtype=np.int64)
-        for bd in model.bonds:
-            mismatch += bits[:, bd.i] ^ bits[:, bd.j]
-        b = B - mismatch  # (B + sum ss)/2 with sum ss = B - 2*mismatch
-        v = n - bits.sum(axis=1)  # (m + N)/2
-        np.add.at(counts, b * (n + 1) + v, 1.0)
+    counts = np.zeros((B + 1) * (n + 1), dtype=np.int64)
+    for up in _spin_rows(n):
+        b = _aligned_count(up, ((bd.i, bd.j) for bd in model.bonds))  # (B + sum ss)/2
+        v = up.sum(axis=0)  # (m + N)/2
+        counts += np.bincount(b * (n + 1) + v, minlength=counts.size)
     table = _check_exact_counts(counts.reshape(B + 1, n + 1), n)
     return DensityOfStates(n, B, table)
 
@@ -293,13 +288,11 @@ def _dos_cylinder_transfer(n_circ: int, l_len: int) -> DensityOfStates:
     n_tot = n_circ * l_len
     B = 2 * n_circ * l_len - n_circ
     dim = 1 << n_circ
-    ring_b = (n_circ + _ring_energy(n_circ)) // 2  # per-row aligned-bond count
-    ups = (_row_magnetization(n_circ) + n_circ) // 2
+    ring_b, ups = _ring_counts(n_circ)  # per-row aligned-bond and up-spin counts
 
     # state[s, b, v]: weight of partial cylinders ending in row config s
     state = np.zeros((dim, B + 1, n_tot + 1), dtype=np.float64)
-    for a in range(dim):
-        state[a, ring_b[a], ups[a]] = 1.0
+    state[np.arange(dim), ring_b, ups] = 1.0
     flip = np.arange(dim)[:, None] ^ (1 << np.arange(n_circ))[None, :]
     for _ in range(l_len - 1):
         for site in range(n_circ):

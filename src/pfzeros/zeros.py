@@ -403,8 +403,6 @@ def map_roots(roots, window: GridSpec, variable: str = "K") -> list[complex]:
 def rescale_from_x(x, variable: str):
     """Map x = e^{-2K} roots into a rescaled Fisher variable."""
     x = np.asarray(x, dtype=np.complex128)
-    if variable == "x":
-        return x
     if variable == "sinh_2k":
         return (1.0 - x * x) / (2.0 * x)
     raise ValueError(f"unknown rescale variable {variable!r}")

@@ -188,6 +188,34 @@ class TestErrors:
         assert run(["--task", "scan", "--model", "chain:3",
                     "--window", "1,0,0,1", "--out", tmp_path / "y"]) == 2
 
+    @pytest.mark.parametrize("args", [
+        ["--task", "zeros", "--model", "cylinder:3x3", "--window=0,inf,0,1"],
+        ["--task", "corr", "--model", "cylinder:3x2", "--fixed-k", "nan"],
+        ["--task", "zeros", "--model", "cylinder:3x3", "--fixed-h", "nan"],
+    ], ids=["window-inf", "fixed-k-nan", "fixed-h-nan"])
+    def test_non_finite_number_is_config_error(self, tmp_path, monkeypatch, capsys, args):
+        def refuse(*args, **kwargs):
+            raise AssertionError("work started before the config was checked")
+        monkeypatch.setattr("pfzeros.cli.parse_model", refuse)
+        assert run(args + ["--out", tmp_path / "o"]) == 2
+        assert "must be finite" in capsys.readouterr().err
+        assert not list(tmp_path.glob("o*"))
+
+    def test_rerun_config_with_non_finite_number_is_config_error(self, tmp_path, monkeypatch,
+                                                                 capsys):
+        assert run(["--task", "scan", "--model", "chain:3", "--res", "4x4",
+                    "--out", tmp_path / "a"]) == 0
+        doc = json.loads((tmp_path / "a.json").read_text())
+        doc["config"]["fixed_h"] = [math.nan, 0.0]
+        (tmp_path / "bad.json").write_text(json.dumps(doc))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("work started before the config was checked")
+        monkeypatch.setattr("pfzeros.cli.parse_model", refuse)
+        assert run(["--rerun-from", tmp_path / "bad.json", "--out", tmp_path / "rerun"]) == 2
+        assert "must be finite" in capsys.readouterr().err
+        assert not list(tmp_path.glob("rerun*"))
+
     def test_cylinder_without_length_is_config_error(self, tmp_path, capsys):
         assert run(["--task", "scan", "--model", "cylinder:3",
                     "--out", tmp_path / "c"]) == 2
@@ -394,6 +422,7 @@ class TestViewPlanes:
                     "--res", "12x12", "--out", out]) == 0
         lines = (tmp_path / "tk.csv").read_text().splitlines()
         assert len(lines) == 2 + 144
+        assert json.loads((tmp_path / "tk.json").read_text())["value_kind"] == "ln |Z / cosh^B K|^2"
 
     def test_tanh_k_zeros_match_scan_minima(self, tmp_path):
         # the scan is |Z / cosh^B K|^2, free of the pole at tanh K = -1 that

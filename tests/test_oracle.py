@@ -87,6 +87,12 @@ class TestBruteForce:
         with pytest.raises(CapExceededError):
             brute_force_Z(build_chain(25, K=0.1))
 
+    def test_open_chain_across_chunks(self):
+        # 2^21 configurations: the sum crosses a chunk boundary of the enumeration
+        k = 0.3 - 0.4j
+        expected = 2 * (2 * cmath.cosh(k)) ** 20
+        assert brute_force_Z(build_chain(21, K=k)) == pytest.approx(expected, rel=1e-12)
+
 
 class TestCorrelation:
     def test_independent_spins(self):
@@ -229,6 +235,14 @@ class TestDensityOfStates:
     def test_transfer_route_equals_enumeration(self, model, dims):
         assert cylinder_dims(model) == dims  # so density_of_states takes the transfer route
         assert np.array_equal(density_of_states(model).table, _dos_enumerate(model).table)
+
+    def test_open_chain_across_chunks(self):
+        # 2^21 enumerated configurations; bond alignments and spins are independent
+        model = build_chain(21, K=0.2)
+        assert cylinder_dims(model) is None  # so density_of_states enumerates
+        table = density_of_states(model).table
+        assert table.sum(axis=1).tolist() == [2 * math.comb(20, b) for b in range(21)]
+        assert table.sum(axis=0).tolist() == [math.comb(21, v) for v in range(22)]
 
     def test_cylinder_with_a_gained_bond_matches_brute_force(self):
         # a bond outside the cylinder layout makes the model a general graph
