@@ -63,7 +63,7 @@ DEFAULT_WINDOWS = {
     "kickH": (-1.2, 1.2, -1.18, 1.22),
 }
 
-RESCALE_VARIABLE = "sinh_2k"  # empirically validated unit-circle variable
+RESCALE_VARIABLE = "sinh_2k"  # the unit-circle variable of zeros.unit_circle_distance
 
 
 @dataclass
@@ -418,7 +418,7 @@ def cmd_zeros(cfg: RunConfig) -> int:
     if which == "fisher":
         payload["rescale_variable"] = RESCALE_VARIABLE
         payload["mean_unit_circle_distance"] = float(
-            np.mean(unit_circle_distance(roots, RESCALE_VARIABLE))
+            np.mean(unit_circle_distance(roots))
         )
     write_json(cfg.out + ".json", cfg, payload)
     maybe_png(cfg.out + ".png", spec, grid.values, cfg.png)
@@ -503,6 +503,8 @@ def cmd_noise(cfg: RunConfig) -> int:
         if key != "im":
             raise ValueError("cut must be 'im=<value>'")
         cut_im = float(val)
+        if not math.isfinite(cut_im):
+            raise ValueError(f"cut im={cut_im!r} is not finite")
     model = parse_model(cfg.model, complex(*cfg.fixed_k), complex(*cfg.fixed_h))
     evaluator = KickedProbabilityEvaluator(*_require_cylinder(model, "noise task"))
     spec = cfg.grid_spec()

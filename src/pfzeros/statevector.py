@@ -3,7 +3,8 @@
 Three interchangeable backends produce the return amplitude/probability:
 
 * run_full      -- every qubit in one register, ancilla projections deferred
-                   to the final overlap (exact because ancillas are single-use)
+                   to the final overlap (exact because ancillas are single-use);
+                   the register grows as gates first touch its qubits
 * run_streamed  -- physical register only; each gadget attaches, uses,
                    projects, and discards its ancilla in turn
 * run_effective -- the diagonal identity: applies exp(-K ss), exp(-H s)
@@ -68,10 +69,11 @@ def _axis_view(amp: np.ndarray, n: int, qubits: tuple[int, ...]) -> np.ndarray:
 
 
 def _rotate(x: np.ndarray, phase: np.ndarray, single: bool) -> None:
-    """x *= phase in place.  Where the gate spans the whole register (single),
-    each point holds one amplitude, which a one-point register multiplies as a
-    numpy scalar, rounding each real product apart; numpy's vector loops fuse
-    them, so it is spelled out to keep a point's bits independent of its batch."""
+    """x *= phase in place.  Where the gate spans every qubit of the circuit
+    (single), each point holds one amplitude, which a one-point register
+    multiplies as a numpy scalar, rounding each real product apart; numpy's
+    vector loops fuse them, so it is spelled out to keep a point's bits
+    independent of its batch."""
     if single:
         re = x.real * phase.real - x.imag * phase.imag
         x.imag = x.real * phase.imag + x.imag * phase.real
@@ -80,14 +82,19 @@ def _rotate(x: np.ndarray, phase: np.ndarray, single: bool) -> None:
         x *= phase
 
 
-def _apply(amp: np.ndarray, n: int, kind: str, qubits: tuple[int, ...], th: np.ndarray) -> None:
-    """Apply one gate in place to amp[state, point], with angle th[point] at
-    each point.  zz/zrot are diagonal phase passes; xx/xrot mix amplitude
-    pairs along the qubit axes."""
+def _check_qubits(n: int, qubits: tuple[int, ...]) -> None:
     for q in qubits:
         if not 0 <= q < n:
             raise ValueError(f"gate qubit {q} out of range for {n} qubits")
-    v = _axis_view(amp, n, qubits)
+
+
+def _apply(amp: np.ndarray, n: int, kind: str, qubits: tuple[int, ...], th: np.ndarray) -> None:
+    """Apply one gate of an n-qubit circuit in place to amp[state, point], with
+    angle th[point] at each point; amp may hold only the circuit's low qubits
+    (2^m states, m <= n).  zz/zrot are diagonal phase passes; xx/xrot mix
+    amplitude pairs along the qubit axes."""
+    _check_qubits(n, qubits)
+    v = _axis_view(amp, amp.shape[0].bit_length() - 1, qubits)
     single = len(qubits) == n
     if kind == "zz":
         pm, pp = np.exp(-1j * th), np.exp(1j * th)
@@ -159,15 +166,49 @@ def run_full(circuit: Circuit, angles=None):
 
 
 def _evolve_full(circuit: Circuit, angles) -> np.ndarray:
-    if circuit.n_qubits > MEMORY_QUBIT_CAP:
-        raise CapExceededError(
-            f"{circuit.n_qubits} qubits exceeds full-register cap {MEMORY_QUBIT_CAP}"
-        )
+    """amp[state, point] of the whole register after all gates.
+
+    The register grows as gates first touch its qubits.  Until a gate touches
+    qubit m, qubits m.. are in their initial state, so over qubits 0..m-1 the
+    whole register holds two blocks: the state where no untouched |up>
+    ancilla is flipped, and the +-0 amplitudes that the gates make of the
+    zeros where one is.  amp[:2^m] holds the first and, while an untouched
+    |up> ancilla remains, amp[2^m:2^(m+1)] the second.  Each gate acts on
+    both, so every amplitude sees the products of the whole-register loop in
+    the same order, and the bits, signs of zero included, are the same.
+    """
+    n, roles = circuit.n_qubits, circuit.roles
+    if n > MEMORY_QUBIT_CAP:
+        raise CapExceededError(f"{n} qubits exceeds full-register cap {MEMORY_QUBIT_CAP}")
     th = _gate_angles(circuit, angles)
-    amp = _product_amplitudes(circuit.roles, th.shape[1])
+    for gate in circuit.gates:
+        _check_qubits(n, gate.qubits)
+    last_z = max((q for q, r in enumerate(roles) if r is QubitRole.ANCILLA_Z), default=-1)
+    amp = np.empty((1 << n, th.shape[1]), dtype=np.complex128)
+    amp[0] = _product_support(roles)[1]
+    amp[1:2] = 0  # the zero block of the empty register
+    m = 0
     for gate, angle in zip(circuit.gates, th):
-        _apply(amp, circuit.n_qubits, gate.kind, gate.qubits, angle)
+        # a gate short of the whole circuit keeps another qubit in the register:
+        # numpy rounds a one-element loop apart from a longer one
+        m = _grow(amp, roles, last_z, m, min(max(max(gate.qubits), len(gate.qubits)) + 1, n))
+        _apply(amp[: 1 << (m + (m <= last_z))], n, gate.kind, gate.qubits, angle)
+    _grow(amp, roles, last_z, m, n)
     return amp
+
+
+def _grow(amp: np.ndarray, roles: tuple[QubitRole, ...], last_z: int, m: int, size: int) -> int:
+    """Add qubits m..size-1 to the register, each as its new top bit, and
+    return the register's size.  The zero block moves up one bit and doubles
+    while |up> ancillas remain; a joining |up> ancilla takes it over."""
+    for q in range(m, size):
+        h = 1 << q
+        if q < last_z:
+            amp[2 * h : 3 * h] = amp[h : 2 * h]
+            amp[3 * h : 4 * h] = amp[h : 2 * h]
+        if roles[q] is not QubitRole.ANCILLA_Z:
+            amp[h : 2 * h] = amp[:h]
+    return max(m, size)
 
 
 def final_state(circuit: Circuit) -> np.ndarray:

@@ -400,17 +400,14 @@ def map_roots(roots, window: GridSpec, variable: str = "K") -> list[complex]:
     return out
 
 
-def rescale_from_x(x, variable: str):
-    """Map x = e^{-2K} roots into a rescaled Fisher variable."""
+def rescale_from_x(x):
+    """Map x = e^{-2K} roots to the rescaled Fisher variable u = sinh(2K)."""
     x = np.asarray(x, dtype=np.complex128)
-    if variable == "sinh_2k":
-        return (1.0 - x * x) / (2.0 * x)
-    raise ValueError(f"unknown rescale variable {variable!r}")
+    return (1.0 - x * x) / (2.0 * x)
 
 
-def unit_circle_distance(x_roots, variable: str = "sinh_2k") -> np.ndarray:
-    """| |u| - 1 | for each nonzero root in the rescaled variable u."""
+def unit_circle_distance(x_roots) -> np.ndarray:
+    """| |u| - 1 | for each nonzero root in u = sinh(2K)."""
     x = np.asarray(x_roots, dtype=np.complex128)
     x = x[x != 0]
-    u = rescale_from_x(x, variable)
-    return np.abs(np.abs(u) - 1.0)
+    return np.abs(np.abs(rescale_from_x(x)) - 1.0)

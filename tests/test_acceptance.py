@@ -172,7 +172,7 @@ def test_criterion_5_fisher_zeroes():
         rts = polynomial_roots(d, "fisher", 0j)
         finite = rts[rts != 0]
         counts.append(len(finite))
-        densities.append(float(np.mean(unit_circle_distance(finite, "sinh_2k"))))
+        densities.append(float(np.mean(unit_circle_distance(finite))))
         # independent transfer-matrix oracle confirms sampled roots are zeros
         for x in finite[:: max(1, len(finite) // 5)]:
             if abs(x + 1.0) < 1e-9:

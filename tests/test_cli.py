@@ -311,6 +311,17 @@ class TestErrors:
         assert capsys.readouterr().err.startswith("error:")
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("cut", ["im=nan", "im=inf", "im=-inf"])
+    def test_noise_cut_not_finite_rejected_before_model(self, tmp_path, monkeypatch, capsys, cut):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the model was built before the cut was checked")
+        monkeypatch.setattr("pfzeros.cli.parse_model", refuse)
+        assert run(["--task", "noise", "--model", "cylinder:3x2", "--res", "6x6",
+                    "--shots", "50", f"--cut={cut}", "--out", tmp_path / "n"]) == 2
+        err = capsys.readouterr().err
+        assert f"cut {cut} is not finite" in err and "window" not in err
+        assert list(tmp_path.iterdir()) == []
+
     def test_noise_shots_checked_before_scan(self, tmp_path, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("the scan ran before --shots was checked")

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,7 +19,11 @@ from pfzeros.model import build_chain, build_cylinder, from_edge_list
 from pfzeros.oracle import brute_force_Z, transfer_matrix_Z
 from pfzeros.statevector import (
     _apply,
+    _evolve_full,
+    _gate_angles,
     _hadamard,
+    _overlaps,
+    _product_amplitudes,
     final_state,
     measurement_basis,
     run_effective,
@@ -28,6 +33,8 @@ from pfzeros.statevector import (
 )
 
 PHYS = QubitRole.PHYSICAL
+ANC_X = QubitRole.ANCILLA_X
+ANC_Z = QubitRole.ANCILLA_Z
 
 
 def plus_state(n):
@@ -243,3 +250,122 @@ class TestSampling:
         with pytest.raises(ValueError):
             sample_shots(circ, 0, seed=1)
 
+
+def whole_register(circuit, angles=None):
+    """Reference evolution: every gate acts on all n qubits from the start."""
+    th = _gate_angles(circuit, angles)
+    amp = _product_amplitudes(circuit.roles, th.shape[1])
+    for gate, angle in zip(circuit.gates, th):
+        _apply(amp, circuit.n_qubits, gate.kind, gate.qubits, angle)
+    return amp
+
+
+def perturbed_angles(rng, circuit, n_points):
+    """(gates, points) angles around the circuit's own, some past pi/2 in size."""
+    own = np.array([[g.angle] for g in circuit.gates])
+    return own + rng.normal(0, 1.2, size=(len(circuit.gates), n_points))
+
+
+def assert_grown_equals_whole(circuit, angles=None):
+    whole = whole_register(circuit, angles)
+    assert _evolve_full(circuit, angles).tobytes() == whole.tobytes()
+    if angles is None:
+        assert final_state(circuit).tobytes() == whole.reshape(-1).tobytes()
+        amplitudes = [run_full(circuit).amplitude]
+    else:
+        amplitudes = [r.amplitude for r in run_full(circuit, angles)]
+    assert np.array(amplitudes).tobytes() == np.array(_overlaps(whole, circuit.roles)).tobytes()
+
+
+class TestGrowingRegister:
+    """_evolve_full grows its register as gates first touch qubits; its bytes
+    equal the whole-register loop's, signs of zero included."""
+
+    def test_general_circuits(self, rng):
+        models = [build_chain(5, K=random_complex(rng), H=random_complex(rng)) for _ in range(3)]
+        models += [build_cylinder(3, 1, random_complex(rng), random_complex(rng), random_complex(rng)),
+                   build_cylinder(2, 2, random_complex(rng), random_complex(rng), random_complex(rng))]
+        models += [random_model(rng, n_max=5) for _ in range(6)]
+        for m in models:
+            circ = compile_general(m)
+            assert_grown_equals_whole(circ)
+            assert_grown_equals_whole(circ, perturbed_angles(rng, circ, 4))
+
+    @pytest.mark.parametrize("dims", [(2, 2), (3, 2), (2, 3), (4, 2)])
+    def test_kicked_circuits(self, rng, dims):
+        circ = compile_kicked(*dims, random_complex(rng), random_complex(rng))
+        assert ANC_Z in circ.roles
+        assert_grown_equals_whole(circ)
+        assert_grown_equals_whole(circ, perturbed_angles(rng, circ, 3))
+
+    def test_random_gadget_circuits(self, rng):
+        # x and z ancillas, xx/xrot gates on physical qubits, z ancillas left unflipped
+        for _ in range(30):
+            circ = random_gadget_circuit(rng, max_qubits=11)
+            assert_grown_equals_whole(circ)
+            assert_grown_equals_whole(circ, perturbed_angles(rng, circ, 3))
+
+    def test_high_ancilla_touched_first(self, rng):
+        # gates reach ancillas 3 and 6 before any gate touches qubits 1, 2, 4 and 5
+        roles = (PHYS, PHYS, ANC_Z, ANC_X, ANC_Z, ANC_X, ANC_Z)
+        gates = (Gate("zz", (0, 3), 2.4), Gate("zrot", (0,), 2.9), Gate("xx", (0, 6), 2.2),
+                 Gate("xrot", (6,), 0.7), Gate("zz", (4, 1), -2.0), Gate("xx", (2, 1), 0.4),
+                 Gate("zz", (5, 0), 0.9))
+        circ = Circuit(roles, gates, 0.0, ())
+        assert_grown_equals_whole(circ)
+        assert_grown_equals_whole(circ, perturbed_angles(rng, circ, 5))
+
+    def test_exact_zero_overlap_keeps_signed_zeros(self):
+        # The first transverse layer rotates each z ancilla by a, then pi/2 - a with cos and
+        # sin swapped exactly: on the untouched |+> ring its projection is exactly 0, so the
+        # overlap is 0.  The later layers' angles pass pi/2, and their gates turn the zeros
+        # under the still untouched z ancillas into -0, which later z ancillas inherit.
+        a = next(a for a in np.linspace(0.05, 1.5, 20001)
+                 if np.cos(np.pi / 2 - a) == np.sin(a) and np.sin(np.pi / 2 - a) == np.cos(a))
+        circ = compile_kicked(2, 3, 0.3 + 2.0j, 0.4 - 2.5j)
+        z_first = {q for q, r in enumerate(circ.roles) if r is ANC_Z}
+        layer_end = max(g.span[1] for g in circ.gadgets if g.ancilla in sorted(z_first)[:2])
+        angles = []
+        for k, gate in enumerate(circ.gates):
+            if k >= layer_end:
+                angles.append(gate.angle)
+            elif not z_first.intersection(gate.qubits):
+                angles.append(0.0)
+            else:
+                angles.append(a if gate.kind == "xx" else np.pi / 2 - a)
+        angles = np.array(angles)[:, None]
+        whole = whole_register(circ, angles)
+        values = whole.view(np.float64)
+        assert np.signbit(values[values == 0]).any()
+        assert run_full(circ, angles)[0].amplitude == 0
+        assert_grown_equals_whole(circ, angles)
+        one = Circuit(circ.roles, tuple(Gate(g.kind, g.qubits, float(t))
+                                        for g, t in zip(circ.gates, angles[:, 0])),
+                      0.0, circ.gadgets)
+        assert_grown_equals_whole(one)
+
+    def test_out_of_range_qubit_raises_before_growth(self):
+        for bad in (5, -1):
+            circ = Circuit((PHYS, PHYS), (Gate("zrot", (0,), 0.1), Gate("zz", (1, bad), 0.2)),
+                           0.0, ())
+            with pytest.raises(ValueError, match=f"gate qubit {bad} out of range for 2 qubits"):
+                run_full(circ)
+
+    def test_peak_allocation_is_one_register(self):
+        # 6 spins, 5 bonds, 5 fields: 16 qubits; numpy's ufunc buffers add up to 256 KiB
+        m = from_edge_list(6, [(i, i + 1, 0.3 - 0.4j) for i in range(5)],
+                           [(i, -0.2 + 0.5j) for i in range(5)])
+        circ = compile_general(m)
+        assert circ.n_qubits == 16
+        tracemalloc.start()
+        try:
+            run_full(circ)
+            peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            with pytest.raises(CapExceededError):
+                run_full(Circuit((PHYS,) * 27, (Gate("zrot", (0,), 0.1),), 0.0, ()))
+            cap_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * 2**16 + 2**19
+        assert cap_peak < 2**16

@@ -298,12 +298,10 @@ class TestRescaling:
         x = np.array([0.5 + 0.1j])
         k = -np.log(x) / 2
         assert plane_to_poly("tanhK", x)[0] == pytest.approx(np.tanh(k)[0])
-        assert rescale_from_x(x, "sinh_2k")[0] == pytest.approx(np.sinh(2 * k)[0])
-        with pytest.raises(ValueError):
-            rescale_from_x(x, "bogus")
+        assert rescale_from_x(x)[0] == pytest.approx(np.sinh(2 * k)[0])
 
     def test_unit_circle_distance_drops_origin(self):
-        d = unit_circle_distance([0j, 1j], "sinh_2k")  # x = i maps to u = -i
+        d = unit_circle_distance([0j, 1j])  # x = i maps to u = -i
         assert len(d) == 1 and d[0] == pytest.approx(0.0)
 
 
