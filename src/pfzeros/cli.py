@@ -92,6 +92,8 @@ class RunConfig:
             value = getattr(self, name)
             if value is not None and not np.isfinite(value).all():
                 raise ValueError(f"config field {name!r} must be finite, got {value!r}")
+        if self.seed < 0:  # numpy seeds its streams from non-negative ints only
+            raise ValueError(f"config field 'seed' must be >= 0, got {self.seed!r}")
 
     def resolved_plane(self) -> str:
         if self.plane is not None:
@@ -285,18 +287,19 @@ def _meta_line(cfg: RunConfig) -> str:
 
 def write_grid_csv(path: str, cfg: RunConfig, spec: GridSpec, values: np.ndarray,
                    extra_columns: dict[str, np.ndarray] | None = None) -> None:
-    re = spec.re_points()
-    im = spec.im_points()
     cols = {"value": values}
     if extra_columns:
         cols.update(extra_columns)
+
+    re = [repr(x) for x in spec.re_points().tolist()]
+    arrays = [np.asarray(c, dtype=np.float64) for c in cols.values()]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(_meta_line(cfg) + "\n")
         fh.write("re,im," + ",".join(cols) + "\n")
-        for iy in range(spec.n_im):
-            for ix in range(spec.n_re):
-                row = ",".join(repr(float(c[iy, ix])) for c in cols.values())
-                fh.write(f"{float(re[ix])!r},{float(im[iy])!r},{row}\n")
+        # a grid row at a time: tolist() gives the Python floats whose repr is each cell
+        for iy, y in enumerate(spec.im_points().tolist()):
+            cells = map(",".join, zip(*(map(repr, a[iy].tolist()) for a in arrays)))
+            fh.writelines(f"{x},{y!r},{cell}\n" for x, cell in zip(re, cells))
 
 
 def write_json(path: str, cfg: RunConfig, payload: dict) -> None:

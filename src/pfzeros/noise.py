@@ -36,21 +36,99 @@ def true_probabilities(grid: ScanGrid) -> np.ndarray:
     return np.clip(p, 0.0, 1.0)
 
 
+# numpy's SeedSequence mixing hash (numpy/random/bit_generator.pyx); uint32 arithmetic
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_POOL_SIZE = 4
+
+
+def _int_words(n: int) -> list[int]:
+    """The little-endian uint32 words SeedSequence reads from a non-negative int."""
+    words = [n & _MASK32]
+    while n > _MASK32:
+        n >>= 32
+        words.append(n & _MASK32)
+    return words
+
+
+def _stream_words(seed: int, n_im: int, n_re: int) -> np.ndarray:
+    """SeedSequence((seed, iy, ix)).generate_state(4, np.uint64) for every cell.
+
+    One pass of numpy's uint32 mixing hash over arrays of cells, shape
+    (n_im, n_re, 4).  The hash constants advance once per hashmix whatever the
+    data, so every cell walks the same constant sequence.
+    """
+    iy = np.arange(n_im, dtype=np.uint32)[:, None]
+    ix = np.arange(n_re, dtype=np.uint32)[None, :]
+    entropy = [np.full((1, 1), w, dtype=np.uint32) for w in _int_words(seed)] + [iy, ix]
+    const = _INIT_A
+
+    def hashmix(value):
+        nonlocal const
+        value = value ^ np.uint32(const)
+        const = (const * _MULT_A) & _MASK32
+        value = value * np.uint32(const)
+        return value ^ (value >> 16)
+
+    def mix(x, y):
+        r = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
+        return r ^ (r >> 16)
+
+    zero = np.zeros((1, 1), dtype=np.uint32)
+    pool = [hashmix(entropy[i] if i < len(entropy) else zero) for i in range(_POOL_SIZE)]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = mix(pool[dst], hashmix(word))
+
+    const = _INIT_B
+    state = np.empty((n_im, n_re, 2 * _POOL_SIZE), dtype=np.uint32)
+    for i in range(2 * _POOL_SIZE):
+        value = pool[i % _POOL_SIZE] ^ np.uint32(const)
+        const = (const * _MULT_B) & _MASK32
+        value = value * np.uint32(const)
+        state[..., i] = value ^ (value >> 16)
+    return state.astype("<u4").view("<u8").astype(np.uint64)
+
+
 def noisy_scan(true_grid: ScanGrid, n_shots: int, seed: int) -> NoisyGrid:
     """Binomial projection noise, one independent stream per grid point.
 
-    Cell (iy, ix) draws from `default_rng((seed, iy, ix))`, so each estimate
-    depends only on the seed, its cell and its true L.  Distributionally
+    Cell (iy, ix) draws from exactly the stream of `default_rng((seed, iy,
+    ix))`, so each estimate depends only on the seed, its cell and its true L.
+    The streams' SeedSequence words are hashed for all cells in one pass
+    (_stream_words) and handed to each cell's PCG64.  Distributionally
     identical to full multinomial shot sampling of the all-initial-state
     event.
     """
     if n_shots < 1:
         raise ValueError("n_shots must be >= 1")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+    # numpy.random loads here, not at import: runs that draw nothing never pay for it
+    from numpy.random import PCG64, Generator
+    from numpy.random.bit_generator import ISeedSequence
+
+    class CellSeed(ISeedSequence):
+        """A cell's precomputed SeedSequence words, as PCG64 reads them."""
+
+        def __init__(self, words):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.words  # PCG64 asks for (4, np.uint64)
+
     p = true_probabilities(true_grid)
+    words = _stream_words(seed, *p.shape)
     est = np.empty_like(p)
     for iy in range(p.shape[0]):
         for ix in range(p.shape[1]):
-            rng = np.random.default_rng((seed, iy, ix))
+            rng = Generator(PCG64(CellSeed(words[iy, ix])))
             est[iy, ix] = rng.binomial(n_shots, p[iy, ix]) / n_shots
     return NoisyGrid(true_grid, est, n_shots, seed)
 

@@ -10,7 +10,9 @@ enumerations read configurations from one spin-row kernel.  All operations are p
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Callable
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -243,15 +245,30 @@ class DensityOfStates:
 
         Z(K, H) = e^{K B} e^{H N} * sum_{b,v} g[b, v] x^b z^v
 
-    with x = exp(-2K) and z = exp(-2H).
+    with x = exp(-2K) and z = exp(-2H).  Counts are built on first read, by
+    `count`: `table` holds g(b, v); `energy_counts` holds g(b) = sum_v g[b, v],
+    which the same count builds with a magnetization axis of length 1, and
+    which is all the zero-field Fisher coefficients read.
     """
 
     n_spins: int
     bond_count: int
-    table: np.ndarray  # (B+1, N+1) uint64
+    count: Callable[[bool], np.ndarray] = field(repr=False)  # (by magnetization) -> uint64 counts
+
+    @cached_property
+    def table(self) -> np.ndarray:
+        """(B+1, N+1) uint64 g(b, v)."""
+        return self.count(True)
+
+    @cached_property
+    def energy_counts(self) -> np.ndarray:
+        """(B+1,) uint64 g(b)."""
+        return self.count(False)[:, 0]
 
     def fisher_coefficients(self, H: complex = 0j) -> np.ndarray:
         """Coefficients c_b with Z(K, H) = e^{K B} * sum_b c_b x^b, x = e^{-2K}."""
+        if complex(H) == 0:  # every z^v is 1, so c_b = g(b): no (b, v) table is needed
+            return self.energy_counts.astype(np.complex128)
         m = 2.0 * np.arange(self.n_spins + 1) - self.n_spins
         z_pow = np.exp(-complex(H) * m)
         return self.table.astype(np.float64) @ z_pow.astype(np.complex128)
@@ -266,7 +283,7 @@ class DensityOfStates:
 def _check_exact_counts(counts: np.ndarray, n_spins: int) -> np.ndarray:
     if float(counts.max(initial=0.0)) >= 2.0**53:
         raise CapExceededError("density-of-states counts exceed exact float64 range (2^53)")
-    if float(counts.sum()) != float(2**n_spins):
+    if sum(map(int, counts.ravel().tolist())) != 2**n_spins:  # in ints: past 2^53 a float sum rounds
         raise AssertionError("density-of-states table does not sum to 2^N")
     return counts.astype(np.uint64)
 
@@ -275,42 +292,53 @@ def _dos_enumerate(model: IsingModel) -> DensityOfStates:
     n, B = model.n_spins, model.bond_count
     if n > DOS_ENUMERATION_CAP:
         raise CapExceededError(f"{n} spins exceeds density-of-states cap {DOS_ENUMERATION_CAP}")
-    counts = np.zeros((B + 1) * (n + 1), dtype=np.int64)
-    for up in _spin_rows(n):
-        b = _aligned_count(up, ((bd.i, bd.j) for bd in model.bonds))  # (B + sum ss)/2
-        v = up.sum(axis=0)  # (m + N)/2
-        counts += np.bincount(b * (n + 1) + v, minlength=counts.size)
-    table = _check_exact_counts(counts.reshape(B + 1, n + 1), n)
-    return DensityOfStates(n, B, table)
+    pairs = [(bd.i, bd.j) for bd in model.bonds]
+
+    def count(by_magnetization: bool) -> np.ndarray:
+        n_v = n + 1 if by_magnetization else 1
+        counts = np.zeros((B + 1) * n_v, dtype=np.int64)
+        for up in _spin_rows(n):
+            b = _aligned_count(up, pairs)  # (B + sum ss)/2
+            v = up.sum(axis=0) if by_magnetization else 0  # (m + N)/2
+            counts += np.bincount(b * n_v + v, minlength=counts.size)
+        return _check_exact_counts(counts.reshape(B + 1, n_v), n)
+
+    return DensityOfStates(n, B, count)
 
 
 def _dos_cylinder_transfer(n_circ: int, l_len: int) -> DensityOfStates:
     n_tot = n_circ * l_len
     B = 2 * n_circ * l_len - n_circ
     dim = 1 << n_circ
-    ring_b, ups = _ring_counts(n_circ)  # per-row aligned-bond and up-spin counts
-
-    # state[s, b, v]: weight of partial cylinders ending in row config s
-    state = np.zeros((dim, B + 1, n_tot + 1), dtype=np.float64)
-    state[np.arange(dim), ring_b, ups] = 1.0
+    ring_b, ring_ups = _ring_counts(n_circ)  # per-row aligned-bond and up-spin counts
     flip = np.arange(dim)[:, None] ^ (1 << np.arange(n_circ))[None, :]
-    for _ in range(l_len - 1):
-        for site in range(n_circ):
-            partner = state[flip[:, site]]
-            shifted = np.zeros_like(state)
-            shifted[:, 1:, :] = state[:, :-1, :]  # aligned y-bond: b += 1
-            state = shifted + partner  # anti-aligned partner: b += 0
-        new_state = np.zeros_like(state)
-        for a in range(dim):
-            db, dv = int(ring_b[a]), int(ups[a])
-            new_state[a, db:, dv:] = state[a, : B + 1 - db, : n_tot + 1 - dv]
-        state = new_state
-    table = _check_exact_counts(state.sum(axis=0), n_tot)
-    return DensityOfStates(n_tot, B, table)
+
+    def count(by_magnetization: bool) -> np.ndarray:
+        # state[s, b, v]: weight of partial cylinders ending in row config s;
+        # without the magnetization every row adds v = 0 to an axis of length 1
+        ups = ring_ups if by_magnetization else np.zeros_like(ring_ups)
+        n_v = n_tot + 1 if by_magnetization else 1
+        state = np.zeros((dim, B + 1, n_v), dtype=np.float64)
+        state[np.arange(dim), ring_b, ups] = 1.0
+        for _ in range(l_len - 1):
+            for site in range(n_circ):
+                partner = state[flip[:, site]]
+                shifted = np.zeros_like(state)
+                shifted[:, 1:, :] = state[:, :-1, :]  # aligned y-bond: b += 1
+                state = shifted + partner  # anti-aligned partner: b += 0
+            new_state = np.zeros_like(state)
+            for a in range(dim):
+                db, dv = int(ring_b[a]), int(ups[a])
+                new_state[a, db:, dv:] = state[a, : B + 1 - db, : n_v - dv]
+            state = new_state
+        return _check_exact_counts(state.sum(axis=0), n_tot)
+
+    return DensityOfStates(n_tot, B, count)
 
 
 def density_of_states(model: IsingModel) -> DensityOfStates:
-    """Exact g(b, m) table for a model with one shared coupling symbol.
+    """Exact g(b, m) counts for a model with one shared coupling symbol, built
+    on first read (DensityOfStates.table, .energy_counts).
 
     Models whose bonds form a cylinder (cylinder_dims) with a ring of 3 to
     DOS_TRANSFER_CIRC_CAP spins, periodic chains among them, go through the

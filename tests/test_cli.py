@@ -354,6 +354,33 @@ class TestErrors:
         assert capsys.readouterr().err.startswith("error:")
         assert not (tmp_path / "v.json").exists()
 
+    @pytest.mark.parametrize("task", [
+        ["--task", "noise", "--model", "cylinder:3x2", "--res", "6x6", "--shots", "50"],
+        ["--task", "verify"],
+    ], ids=["noise", "verify"])
+    def test_negative_seed_is_config_error_before_work(self, tmp_path, monkeypatch, capsys, task):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the task started before the seed was checked")
+        monkeypatch.setattr("pfzeros.cli.cmd_noise", refuse)
+        monkeypatch.setattr("pfzeros.cli.cmd_verify", refuse)
+        assert run(task + ["--seed", "-1", "--out", tmp_path / "o"]) == 2
+        assert capsys.readouterr().err == "error: config field 'seed' must be >= 0, got -1\n"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_rerun_config_with_negative_seed_is_config_error(self, tmp_path, monkeypatch, capsys):
+        assert run(["--task", "noise", "--model", "cylinder:3x2", "--res", "4x4",
+                    "--shots", "10", "--out", tmp_path / "a"]) == 0
+        doc = json.loads((tmp_path / "a_report.json").read_text())
+        doc["config"]["seed"] = -5
+        (tmp_path / "bad.json").write_text(json.dumps(doc))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the task started before the seed was checked")
+        monkeypatch.setattr("pfzeros.cli.cmd_noise", refuse)
+        assert run(["--rerun-from", tmp_path / "bad.json", "--out", tmp_path / "rerun"]) == 2
+        assert "config field 'seed' must be >= 0" in capsys.readouterr().err
+        assert not list(tmp_path.glob("rerun*"))
+
     @pytest.mark.parametrize("backend, model", [
         ("full", "cylinder:4x4"),  # 44 qubits in one register
         ("streamed", "cylinder:6x6"),  # 36 physical qubits plus the ancilla

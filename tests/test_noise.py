@@ -1,13 +1,16 @@
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from scipy.stats import ks_2samp
 
-from conftest import Pointwise
+from conftest import Pointwise, child_env
 from pfzeros.circuits import compile_general
 from pfzeros.model import from_edge_list
 from pfzeros.noise import (
+    _stream_words,
     detectability,
     error_stats,
     noisy_minima_mask,
@@ -58,6 +61,52 @@ class TestNoisyScan:
         noisy = noisy_scan(l_grid(lambda w: 0.5, spec), 10000, seed=11)
         se = math.sqrt(0.5 * 0.5 / (10000 * 1000))
         assert abs(noisy.estimates.mean() - 0.5) <= 5 * se
+
+
+class TestSeedStreams:
+    """noisy_scan hashes numpy's SeedSequence words itself; these pin that hash
+    to numpy's, so a numpy release that changes it fails here, loudly."""
+
+    # 0, small, the largest one-word int, two entropy words, and five words
+    # (a seed past 2^64 runs the mixing loop beyond the pool of four)
+    SEEDS = [0, 7, 2**31 - 1, 2**40 + 3, 2**64 + 2**63 + 11]
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_words_equal_seed_sequence(self, seed):
+        n_im, n_re = 9, 11
+        words = _stream_words(seed, n_im, n_re)
+        expected = np.array([
+            [np.random.SeedSequence((seed, iy, ix)).generate_state(4, np.uint64) for ix in range(n_re)]
+            for iy in range(n_im)
+        ])
+        assert words.dtype == np.uint64 and words.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_estimates_equal_default_rng_per_cell(self, seed):
+        spec = GridSpec(-1, 1, -1, 1, 13, 12)
+        grid = l_grid(lambda w: 0.2 + 0.15 * w.real + 0.1 * w.imag, spec)
+        p = true_probabilities(grid)
+        n = 700
+        expected = np.empty_like(p)
+        for iy in range(p.shape[0]):
+            for ix in range(p.shape[1]):
+                expected[iy, ix] = np.random.default_rng((seed, iy, ix)).binomial(n, p[iy, ix]) / n
+        assert noisy_scan(grid, n, seed).estimates.tobytes() == expected.tobytes()
+
+    def test_negative_seed_rejected_before_any_draw(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("work started before the seed was checked")
+        monkeypatch.setattr("pfzeros.noise.true_probabilities", refuse)
+        monkeypatch.setattr("pfzeros.noise._stream_words", refuse)
+        grid = l_grid(lambda w: 0.3, GridSpec(-1, 1, -1, 1, 4, 4))
+        with pytest.raises(ValueError, match="seed"):
+            noisy_scan(grid, 10, seed=-1)
+
+    def test_import_leaves_numpy_random_unloaded(self):
+        code = "import sys, pfzeros; print('numpy.random' in sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=child_env(), timeout=60)
+        assert proc.returncode == 0 and proc.stdout.strip() == "False"
 
 
 class TestErrorStats:

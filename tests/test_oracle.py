@@ -18,6 +18,12 @@ from pfzeros.oracle import (
     transfer_matrix_Z_grid,
 )
 
+# rings and cylinders that density_of_states sends through the transfer route
+TRANSFER_ROUTE_MODELS = [
+    *((build_chain(n, periodic=True, K=0.2), (n, 1)) for n in range(3, 11)),
+    *((build_cylinder(n, l, 0.2, 0.2), (n, l)) for n in (3, 4, 5) for l in (1, 2, 3)),
+]
+
 
 class TestLogComplex:
     def test_round_trip(self, rng):
@@ -228,13 +234,46 @@ class TestDensityOfStates:
             m = build_cylinder(dims[0], dims[1], -0.2, -0.2)
             assert np.array_equal(density_of_states(m).table, _dos_enumerate(m).table)
 
-    @pytest.mark.parametrize("model, dims", [
-        *((build_chain(n, periodic=True, K=0.2), (n, 1)) for n in range(3, 11)),
-        *((build_cylinder(n, l, 0.2, 0.2), (n, l)) for n in (3, 4, 5) for l in (1, 2, 3)),
-    ])
+    @pytest.mark.parametrize("model, dims", TRANSFER_ROUTE_MODELS)
     def test_transfer_route_equals_enumeration(self, model, dims):
         assert cylinder_dims(model) == dims  # so density_of_states takes the transfer route
         assert np.array_equal(density_of_states(model).table, _dos_enumerate(model).table)
+
+    @pytest.mark.parametrize("model", [
+        *(build_cylinder(n, n, -0.2, -0.2) for n in range(3, 8)),
+        *(model for model, _ in TRANSFER_ROUTE_MODELS),
+        build_chain(9, K=0.2),  # enumerated
+    ])
+    def test_zero_field_fisher_reads_g_of_b_alone(self, model):
+        dos = density_of_states(model)
+        coeffs = dos.fisher_coefficients(0)
+        assert "table" not in vars(dos)  # the (b, v) table was never built
+        g = dos.energy_counts
+        assert g.dtype == np.uint64
+        assert int(g.max()) < 2**53 and sum(map(int, g)) == 2**model.n_spins
+        # the same bytes as summing the (b, v) table against z^v = 1
+        m = 2.0 * np.arange(dos.n_spins + 1) - dos.n_spins
+        expected = dos.table.astype(np.float64) @ np.exp(-0j * m).astype(np.complex128)
+        assert coeffs.tobytes() == expected.tobytes()
+        assert np.array_equal(g, dos.table.sum(axis=1))
+
+    @pytest.mark.parametrize("model, dims", TRANSFER_ROUTE_MODELS)
+    def test_transfer_route_g_of_b_equals_enumeration(self, model, dims):
+        assert np.array_equal(density_of_states(model).energy_counts,
+                              _dos_enumerate(model).energy_counts)
+
+    def test_g_of_b_past_exact_range_fails(self):
+        # 8x8 energy counts pass 2^53, the exact float64 range, as its (b, v) counts do
+        dos = density_of_states(build_cylinder(8, 8, -0.2, -0.2))
+        with pytest.raises(CapExceededError):
+            dos.fisher_coefficients(0)
+
+    def test_exact_counts_with_a_total_past_2_to_53(self):
+        # on 3x20 every g(b, v) is below 2^53, but they sum to 2^60, where a float sum rounds
+        dos = density_of_states(build_cylinder(3, 20, -0.2, -0.2))
+        assert sum(map(int, dos.table.ravel())) == 2**60
+        with pytest.raises(CapExceededError):  # some g(b) pass 2^53
+            dos.fisher_coefficients(0)
 
     def test_open_chain_across_chunks(self):
         # 2^21 enumerated configurations; bond alignments and spins are independent
