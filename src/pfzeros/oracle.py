@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -163,6 +163,38 @@ def _ring_counts(n_circ: int) -> tuple[np.ndarray, np.ndarray]:
     return _aligned_count(up, ((i, (i + 1) % n_circ) for i in range(n_circ))), up.sum(axis=0)
 
 
+@cache
+def _row_weight_pairs(n_circ: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(ring, mag, pair_of): the distinct (sum_i s_i s_{i+1}, magnetization)
+    pairs of the 2^n ring states as float64, and each state's pair index.  A
+    row weight depends on its state only through its pair, so one exp per pair
+    serves every state.  Cached per circumference, so the arrays are read-only."""
+    aligned, ups = _ring_counts(n_circ)
+    key = aligned * (n_circ + 1) + ups
+    _, first, pair_of = np.unique(key, return_index=True, return_inverse=True)
+    tables = ((2 * aligned[first] - n_circ).astype(np.float64),
+              (2 * ups[first] - n_circ).astype(np.float64), pair_of)
+    for t in tables:
+        t.flags.writeable = False
+    return tables
+
+
+def _inter_row(v: np.ndarray, em: np.ndarray, ep: np.ndarray, flip: bool) -> None:
+    """v <- exp(-Ky sum_i s_i s'_i) v in place, one butterfly per site; with flip,
+    v holds the states whose top spin is up, and the top site pairs each with
+    its flip, v[::-1]."""
+    for site in range(v.shape[0].bit_length() - 1):
+        va = v.reshape(-1, 2, 1 << site, v.shape[1])
+        a = va[:, 0].copy()
+        b = va[:, 1]
+        va[:, 0] = em * a + ep * b
+        va[:, 1] = ep * a + em * b
+    if flip:
+        b = ep * v[::-1]
+        np.multiply(em, v, out=v)
+        v += b
+
+
 def transfer_matrix_Z_grid(
     n_circ: int,
     l_len: int,
@@ -181,6 +213,13 @@ def transfer_matrix_Z_grid(
     contiguous points.  Peak memory is O(block * 2^n), whatever the number of
     points; each point's arithmetic, and so its result, does not depend on the
     block it falls in.
+
+    In a block whose H is all zero, a global spin flip leaves every row weight
+    unchanged, and the butterflies keep v[~s] equal to v[s] bit for bit (the
+    two are the same sums with their terms swapped).  Such a block stores only
+    the 2^(n-1) states whose top spin is up, so it costs O(L * n * 2^(n-1))
+    per point and half the memory; the flipped half is rebuilt only for the
+    final sum, which then adds the same values in the same order.
     """
     if n_circ < 2:
         raise ValueError("cylinder circumference must be >= 2")
@@ -194,31 +233,30 @@ def transfer_matrix_Z_grid(
     npts = max(Kx.size, Ky.size, H.size)
     Kx, Ky, H = (np.broadcast_to(a, (npts,)) for a in (Kx, Ky, H))
 
-    aligned, ups = _ring_counts(n_circ)
-    ring = (2 * aligned - n_circ).astype(np.float64)  # sum_i s_i s_{i+1}
-    mag = (2 * ups - n_circ).astype(np.float64)
+    ring, mag, pair_of = _row_weight_pairs(n_circ)
+    half = 1 << (n_circ - 1)
     log_acc = np.zeros(npts, dtype=np.float64)
     z = np.empty(npts, dtype=np.complex128)
     for lo in range(0, npts, _TRANSFER_BLOCK):
         blk = slice(lo, lo + _TRANSFER_BLOCK)
-        row_w = np.exp(-(Kx[blk, None] * ring[None, :] + H[blk, None] * mag[None, :]))
-        row_w = np.ascontiguousarray(row_w.T)  # v[state, point]
+        flip = not H[blk].any()  # keep states 0..half-1; v[half + s] is v[half - 1 - s]
+        states = pair_of[:half] if flip else pair_of
+        row_w = np.exp(-(Kx[blk, None] * ring[None, :] + H[blk, None] * mag[None, :])).T[states]
         v = row_w.copy()
         em, ep = np.exp(-Ky[blk]), np.exp(Ky[blk])
         for _ in range(l_len - 1):
-            for site in range(n_circ):
-                va = v.reshape(-1, 2, 1 << site, v.shape[1])
-                a = va[:, 0].copy()
-                b = va[:, 1]
-                va[:, 0] = em * a + ep * b
-                va[:, 1] = ep * a + em * b
+            _inter_row(v, em, ep, flip)
             v *= row_w
             m = np.max(np.abs(v), axis=0)
             v /= np.where(m > 0, m, 1.0)
             with np.errstate(divide="ignore"):
                 log_acc[blk] += np.log(m)
         # pairwise sum along contiguous states, in the order of a (points, states) sum
-        z[blk] = np.ascontiguousarray(v.T).sum(axis=1)
+        rows = np.empty((v.shape[1], 1 << n_circ), dtype=np.complex128)
+        rows[:, :len(v)] = v.T
+        if flip:
+            rows[:, half:] = v[::-1].T
+        z[blk] = rows.sum(axis=1)
 
     with np.errstate(divide="ignore"):
         logmag = log_acc + np.log(np.abs(z))

@@ -54,11 +54,13 @@ def _product_amplitudes(roles: tuple[QubitRole, ...], n_points: int) -> np.ndarr
 
 
 def _overlaps(amp: np.ndarray, roles: tuple[QubitRole, ...]) -> list[complex]:
-    """<psi0|psi> per point of amp[state(, point)], each point summed over its row
-    of a contiguous (points, states) copy: the order of a one-point register."""
+    """<psi0|psi> per point of amp[state(, point)], each point summed over a
+    contiguous copy of its own column, one at a time: the order of a one-point
+    register, at the memory of one more row."""
     sel, value = _product_support(roles)
-    rows = np.ascontiguousarray(amp.reshape(1 << len(roles), -1).T)
-    return [complex(row.reshape((2,) * len(roles))[sel].sum() * value) for row in rows]
+    columns = amp.reshape(1 << len(roles), -1).T
+    return [complex(np.ascontiguousarray(col).reshape((2,) * len(roles))[sel].sum() * value)
+            for col in columns]
 
 
 def _axis_view(amp: np.ndarray, n: int, qubits: tuple[int, ...]) -> np.ndarray:

@@ -122,6 +122,45 @@ class TestCorrelation:
             correlation(m, 0, 1)
 
 
+def full_state_transfer(n, l, kx, ky, h):
+    """(log|Z|, arg Z) for one block of points with all 2^n states stored: the
+    contraction as it ran before the zero-field path kept half of them, the
+    reference for that path's bits."""
+    up = (np.arange(1 << n)[None, :] >> np.arange(n)[:, None] & 1) == 0
+    ring = (2 * (up == np.roll(up, -1, axis=0)).sum(axis=0) - n).astype(np.float64)
+    mag = (2 * up.sum(axis=0) - n).astype(np.float64)
+    row_w = np.ascontiguousarray(np.exp(-(kx[:, None] * ring[None, :] + h[:, None] * mag[None, :])).T)
+    v = row_w.copy()
+    em, ep = np.exp(-ky), np.exp(ky)
+    log_acc = np.zeros(kx.size)
+    for _ in range(l - 1):
+        for site in range(n):
+            va = v.reshape(-1, 2, 1 << site, v.shape[1])
+            a = va[:, 0].copy()
+            b = va[:, 1]
+            va[:, 0] = em * a + ep * b
+            va[:, 1] = ep * a + em * b
+        v *= row_w
+        m = np.max(np.abs(v), axis=0)
+        v /= np.where(m > 0, m, 1.0)
+        log_acc += np.log(m)
+    z = np.ascontiguousarray(v.T).sum(axis=1)
+    return log_acc + np.log(np.abs(z)), np.angle(z)
+
+
+def edge_couplings(rng):
+    """(Kx, Ky) over one block: complex, real, imaginary and zero couplings,
+    +-inf and NaN among them, and a kickH line (Kx fixed, Ky varying)."""
+    edge = np.array([0, -0.0, 0.3, -0.3j, complex(-0.3, -0.0), complex(-0.0, -0.0), np.inf,
+                     -np.inf, complex(0, np.inf), np.nan, complex(0, np.nan), -8.0])
+    kx_edge, ky_edge = (a.ravel() for a in np.meshgrid(edge, edge))
+    cplx = rng.normal(0, 0.5, 30) + 1j * rng.normal(0, 0.5, 30)
+    real, imag = rng.normal(0, 0.5, 20), 1j * rng.normal(0, 0.5, 20)
+    kx = np.concatenate([kx_edge, cplx, real, imag, np.full(20, 0.4 + 0j)]).astype(np.complex128)
+    ky = np.concatenate([ky_edge, cplx[::-1], real[::-1], imag[::-1], cplx[:20]]).astype(np.complex128)
+    return kx, ky
+
+
 class TestTransferMatrix:
     def test_zero_coupling_log(self):
         lz = transfer_matrix_Z(4, 3, 0, 0, 0)
@@ -158,10 +197,16 @@ class TestTransferMatrix:
         # anisotropic, with a field; 600 points span several blocks and a partial last one
         return tuple(rng.normal(0, 0.4, npts) + 1j * rng.normal(0, 0.4, npts) for _ in range(3))
 
-    @pytest.mark.parametrize("dims", [(3, 3), (4, 2)])
-    def test_points_are_independent(self, dims, rng):
+    @pytest.mark.parametrize("dims, zero_blocks", [
+        pytest.param((3, 3), False, id="dims0"),
+        pytest.param((4, 2), False, id="dims1"),
+        pytest.param((4, 2), True, id="dims1-zero_blocks"),
+    ])
+    def test_points_are_independent(self, dims, zero_blocks, rng):
         n, l = dims
         kx, ky, h = self._random_points(rng, 600)
+        if zero_blocks:  # blocks 0 and 2 take the zero-field path, block 1 and the reversed blocks do not
+            h[:256] = h[512:] = 0
         logmag, phase = transfer_matrix_Z_grid(n, l, kx, ky, h)
         for i in range(kx.size):
             lm, ph = transfer_matrix_Z_grid(n, l, kx[i:i + 1], ky[i:i + 1], h[i:i + 1])
@@ -179,6 +224,33 @@ class TestTransferMatrix:
             if abs(z) > 0:
                 got = LogComplex.from_log(float(logmag[i]), float(phase[i])).to_complex()
                 assert abs(got - z) <= 1e-10 * abs(z)
+
+    @pytest.mark.parametrize("l", [1, 2, 5])
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_zero_field_keeps_full_state_bits(self, n, l, rng):
+        kx, ky = edge_couplings(rng)
+        assert kx.size <= 256  # one block, as the reference contracts
+        fields = {"+0": np.zeros(kx.size, complex), "-0": np.full(kx.size, complex(-0.0, -0.0)),
+                  "+0-0j": np.full(kx.size, complex(0.0, -0.0)),
+                  "random": rng.normal(0, 0.4, kx.size) + 1j * rng.normal(0, 0.4, kx.size)}
+        with np.errstate(all="ignore"):
+            for name, h in fields.items():
+                want = full_state_transfer(n, l, kx, ky, h)
+                got = transfer_matrix_Z_grid(n, l, kx, ky, h)
+                assert got[0].tobytes() == want[0].tobytes(), name
+                assert got[1].tobytes() == want[1].tobytes(), name
+
+    def test_zero_field_peak_is_half_block(self, rng):
+        kx, ky, h = self._random_points(rng, 256)
+        peaks = []
+        for field in (np.zeros_like(h), h):
+            tracemalloc.start()
+            try:
+                transfer_matrix_Z_grid(7, 2, kx, ky, field)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] <= 0.6 * peaks[1]
 
     def test_peak_memory_independent_of_point_count(self, rng):
         kx, ky, h = self._random_points(rng, 20_000)

@@ -275,6 +275,9 @@ def assert_grown_equals_whole(circuit, angles=None):
     else:
         amplitudes = [r.amplitude for r in run_full(circuit, angles)]
     assert np.array(amplitudes).tobytes() == np.array(_overlaps(whole, circuit.roles)).tobytes()
+    # each point of a batch sums as a one-point register does
+    one_point = [_overlaps(whole[:, p:p + 1].copy(), circuit.roles)[0] for p in range(whole.shape[1])]
+    assert np.array(amplitudes).tobytes() == np.array(one_point).tobytes()
 
 
 class TestGrowingRegister:
@@ -351,12 +354,18 @@ class TestGrowingRegister:
             with pytest.raises(ValueError, match=f"gate qubit {bad} out of range for 2 qubits"):
                 run_full(circ)
 
-    def test_peak_allocation_is_one_register(self):
-        # 6 spins, 5 bonds, 5 fields: 16 qubits; numpy's ufunc buffers add up to 256 KiB
+    @staticmethod
+    def _sixteen_qubit_circuit():
+        # 6 spins, 5 bonds, 5 fields: 16 qubits
         m = from_edge_list(6, [(i, i + 1, 0.3 - 0.4j) for i in range(5)],
                            [(i, -0.2 + 0.5j) for i in range(5)])
         circ = compile_general(m)
         assert circ.n_qubits == 16
+        return circ
+
+    def test_peak_allocation_is_one_register(self):
+        # numpy's ufunc buffers add up to 256 KiB
+        circ = self._sixteen_qubit_circuit()
         tracemalloc.start()
         try:
             run_full(circ)
@@ -369,3 +378,15 @@ class TestGrowingRegister:
             tracemalloc.stop()
         assert peak <= 16 * 2**16 + 2**19
         assert cap_peak < 2**16
+
+    def test_batched_peak_is_one_register_and_one_row(self, rng):
+        # the overlap copies one point's row at a time, not the whole register
+        circ = self._sixteen_qubit_circuit()
+        angles = perturbed_angles(rng, circ, 4)
+        tracemalloc.start()
+        try:
+            run_full(circ, angles)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * 2**16 * 4 + 16 * 2**16 + 2**19
