@@ -18,7 +18,6 @@ from .circuits import (
 from .correlations import (
     CorrelationEstimate,
     KickedSetup,
-    ProbeSpec,
     corr_cross_row,
     corr_norm_ratio,
     corr_same_row,

@@ -71,7 +71,7 @@ class RunConfig:
     model: str
     task: typing.Literal[TASKS]
     backend: typing.Literal[BACKENDS] = "oracle"
-    plane: typing.Literal[PLANES] | None = None
+    plane: typing.Literal[PLANES] = "K"
     window: tuple[float, float, float, float] | None = None
     res: tuple[int, int] = (100, 100)
     fixed_k: tuple[float, float] = (-0.3, 0.0)
@@ -95,19 +95,14 @@ class RunConfig:
         if self.seed < 0:  # numpy seeds its streams from non-negative ints only
             raise ValueError(f"config field 'seed' must be >= 0, got {self.seed!r}")
 
-    def resolved_plane(self) -> str:
-        if self.plane is not None:
-            return self.plane
-        return "K"
-
     def resolved_window(self) -> tuple[float, float, float, float]:
         if self.window is not None:
             return self.window
-        return DEFAULT_WINDOWS[self.resolved_plane()]
+        return DEFAULT_WINDOWS[self.plane]
 
     def grid_spec(self) -> GridSpec:
         w = self.resolved_window()
-        return GridSpec(w[0], w[1], w[2], w[3], self.res[0], self.res[1], self.resolved_plane())
+        return GridSpec(w[0], w[1], w[2], w[3], self.res[0], self.res[1], self.plane)
 
     def to_dict(self) -> dict:
         """Resolved config as embedded in outputs.
@@ -117,7 +112,6 @@ class RunConfig:
         byte-identical.
         """
         d = asdict(self)
-        d["plane"] = self.resolved_plane()
         d["window"] = list(self.resolved_window())
         d["res"] = list(self.res)
         d["fixed_k"] = list(self.fixed_k)
@@ -252,16 +246,24 @@ def _fixed_param(cfg: RunConfig, plane: str) -> complex:
     return complex(*(cfg.fixed_h if ZERO_FAMILY[plane] == "fisher" else cfg.fixed_k))
 
 
+def _require_no_field(cfg: RunConfig, user: str) -> None:
+    # the kicked maps are computed at H = 0 and have no field to take
+    if complex(*cfg.fixed_h) != 0:
+        raise ValueError(f"{user} takes no longitudinal field; --fixed-h must be 0")
+
+
 def make_evaluator(cfg: RunConfig, model: IsingModel):
-    plane = cfg.resolved_plane()
+    plane = cfg.plane
     if plane == "kickH":
         dims = _require_cylinder(model, "the kick-field plane")
         if cfg.backend not in ("oracle", "kicked"):
             raise ValueError("the kick-field plane takes the oracle or kicked backend")
+        _require_no_field(cfg, "the kick-field plane")
         return KickedFieldPlaneEvaluator(dims[0], dims[1], complex(*cfg.fixed_k))
     if cfg.backend == "kicked":
         if plane != "K":
             raise ValueError("kicked backend needs plane K")
+        _require_no_field(cfg, "the kicked backend")
         return KickedProbabilityEvaluator(*_require_cylinder(model, "kicked backend"))
     fixed = _fixed_param(cfg, plane)
     if cfg.backend == "oracle":
@@ -499,6 +501,9 @@ def cmd_verify(cfg: RunConfig) -> int:
 
 
 def cmd_noise(cfg: RunConfig) -> int:
+    if cfg.backend not in ("oracle", "kicked"):
+        raise ValueError("noise task takes the oracle or kicked backend")
+    _require_no_field(cfg, "noise task")
     if cfg.shots < 1:
         raise ValueError("--shots must be >= 1")
     if cfg.cut:
@@ -563,7 +568,8 @@ def cmd_corr(cfg: RunConfig) -> int:
         (i, m), (k, n) = [tuple(int(v) for v in s.split(",")) for s in cfg.sites.split(";")]
     except ValueError as exc:
         raise ValueError("sites must be 'i,m;k,n'") from exc
-    setup = KickedSetup(dims[0], dims[1], complex(*cfg.fixed_k), complex(*cfg.fixed_k))
+    setup = KickedSetup(dims[0], dims[1], complex(*cfg.fixed_k), complex(*cfg.fixed_k),
+                        complex(*cfg.fixed_h))
     if m == n:
         est = corr_same_row(setup, i, k, m, delta=cfg.delta, backend=cfg.backend)
     else:

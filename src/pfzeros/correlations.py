@@ -4,7 +4,9 @@ The norm comes from a gate ratio (sigma_i sigma_j = -i exp(i pi sigma_i
 sigma_j / 2), one extra Ising gate); the phase comes from perturbative probes:
 a small coupling delta-K between same-row spins (first-order response) or small
 z-fields delta-B on a cross-row pair (second-order response, which requires a
-field-free base model).
+field-free base model).  Every backend reads one probe format, (i, k, row,
+delta-K) and (i, row, delta-B) tuples: the kicked backend compiles them into
+its circuit, the others apply them to the model.
 
 The nominal first-order probe signs below are treated as hypotheses: a
 one-time oracle calibration on a 2-spin instance fixes the sign table, and
@@ -49,21 +51,6 @@ NOMINAL_SIGNS = {
 
 
 @dataclass(frozen=True)
-class ProbeSpec:
-    kind: str  # same_row_real | same_row_imag | cross_row_real | cross_row_rotated
-    sites: tuple[tuple[int, int], tuple[int, int]]
-    delta: float
-
-    def __post_init__(self):
-        if self.kind not in NOMINAL_SIGNS:
-            raise ValueError(f"unknown probe kind {self.kind!r}")
-        if not 0.0 < self.delta <= MAX_PROBE_DELTA:
-            raise ValueError(f"probe delta must be in (0, {MAX_PROBE_DELTA}]")
-        if self.kind.startswith("cross_row") and self.sites[0][1] == self.sites[1][1]:
-            raise ValueError("cross-row probes need sites in different rows")
-
-
-@dataclass(frozen=True)
 class KickedSetup:
     """A cylinder instance addressed through the kicked protocol.
 
@@ -105,6 +92,15 @@ class KickedSetup:
             field_probes=self._field_terms() + tuple(field_probes),
         )
 
+    def probed_model(self, coupling_probes=(), field_probes=()) -> IsingModel:
+        """The model twin of probed_circuit: the same probe tuples, in order."""
+        model = self.base_model()
+        for i, k, row, delta in coupling_probes:
+            model = with_bond_delta(model, self.site(i, row), self.site(k, row), delta)
+        for i, row, delta in field_probes:
+            model = with_field_delta(model, self.site(i, row), delta)
+        return model
+
 
 def _log_z2_model(model: IsingModel, backend: str, min_probability: float) -> float:
     """ln |Z|^2 of a model through the chosen backend."""
@@ -138,53 +134,30 @@ def corr_norm_ratio(model: IsingModel, i: int, j: int, backend: str = "effective
     return math.exp(num - base)
 
 
-def _kicked_log_z2_ratio(
-    setup: KickedSetup, coupling_probes=(), field_probes=()
-) -> float:
-    """ln(|Z'|^2 / |Z|^2) measured through probed and unprobed kicked circuits."""
-    base_c = setup.probed_circuit()
-    probe_c = setup.probed_circuit(coupling_probes, field_probes)
-    base = run_streamed(base_c)
-    probed = run_streamed(probe_c)
-    if base.probability == 0.0:
-        raise IllConditionedError("kicked return probability vanished at the base point")
-    return 2.0 * (
-        math.log(abs(probed.amplitude))
-        - math.log(abs(base.amplitude))
-        + probe_c.log_prefactor
-        - base_c.log_prefactor
-    )
-
-
-def _ratio_minus_one(
-    setup: KickedSetup,
-    backend: str,
-    coupling_probe: tuple[int, int, int, complex] | None = None,
-    field_probe_delta: complex | None = None,
-    field_sites: tuple[tuple[int, int], tuple[int, int]] | None = None,
-) -> float:
-    """R - 1 where R = |Z(probe)|^2 / |Z(0)|^2, probes applied to the setup."""
+def _ratios_minus_one(setup: KickedSetup, backend: str, probes) -> list[float]:
+    """R - 1 for each (coupling_probes, field_probes) pair in probes, where
+    R = |Z(probed)|^2 / |Z(0)|^2; the unprobed base is measured once."""
     if backend == "kicked":
-        if coupling_probe is not None:
-            log_ratio = _kicked_log_z2_ratio(setup, coupling_probes=(coupling_probe,))
-        else:
-            (ia, ra), (ib, rb) = field_sites
-            log_ratio = _kicked_log_z2_ratio(
-                setup,
-                field_probes=((ia, ra, field_probe_delta), (ib, rb, field_probe_delta)),
-            )
-        return math.expm1(log_ratio)
-    base = setup.base_model()
-    if coupling_probe is not None:
-        i, k, row, delta = coupling_probe
-        probed = with_bond_delta(base, setup.site(i, row), setup.site(k, row), delta)
-    else:
-        (ia, ra), (ib, rb) = field_sites
-        probed = with_field_delta(base, setup.site(ia, ra), field_probe_delta)
-        probed = with_field_delta(probed, setup.site(ib, rb), field_probe_delta)
-    log_base = _log_z2_model(base, backend, MIN_PROBABILITY)
-    log_probed = _log_z2_model(probed, backend, 0.0)
-    return math.expm1(log_probed - log_base)
+        base_c = setup.probed_circuit()
+        base = run_streamed(base_c)
+        if base.probability == 0.0:
+            raise IllConditionedError("kicked return probability vanished at the base point")
+        ratios = []
+        for coupling_probes, field_probes in probes:
+            probe_c = setup.probed_circuit(coupling_probes, field_probes)
+            probed = run_streamed(probe_c)
+            ratios.append(math.expm1(2.0 * (
+                math.log(abs(probed.amplitude))
+                - math.log(abs(base.amplitude))
+                + probe_c.log_prefactor
+                - base_c.log_prefactor
+            )))
+        return ratios
+    log_base = _log_z2_model(setup.base_model(), backend, MIN_PROBABILITY)
+    return [
+        math.expm1(_log_z2_model(setup.probed_model(*pair), backend, 0.0) - log_base)
+        for pair in probes
+    ]
 
 
 @lru_cache(maxsize=1)
@@ -271,21 +244,22 @@ def corr_same_row(
     Gadget-normalization corrections enter through each probed circuit's own
     log_prefactor.
     """
-    ProbeSpec("same_row_real", ((i, row), (k, row)), delta)
+    if not 0.0 < delta <= MAX_PROBE_DELTA:
+        raise ValueError(f"probe delta must be in (0, {MAX_PROBE_DELTA}]")
     if i == k:
         raise ValueError("same-row probe needs two distinct spins")
     signs = probe_sign_table()
-
-    def estimate(d: float) -> complex:
-        r_re = _ratio_minus_one(setup, backend, coupling_probe=(i, k, row, d + 0j))
-        r_im = _ratio_minus_one(setup, backend, coupling_probe=(i, k, row, 1j * d))
-        return complex(
+    steps = (delta, delta / 2.0)
+    r = _ratios_minus_one(
+        setup, backend, [(((i, k, row, dk),), ()) for d in steps for dk in (d + 0j, 1j * d)]
+    )
+    raw, half = (
+        complex(
             signs["same_row_real"] * r_re / (2.0 * d),
             signs["same_row_imag"] * r_im / (2.0 * d),
         )
-
-    raw = estimate(delta)
-    half = estimate(delta / 2.0)
+        for d, r_re, r_im in zip(steps, r[::2], r[1::2])
+    )
     extrapolated = 2.0 * half - raw
     return CorrelationEstimate(raw, extrapolated, delta, backend, "same_row")
 
@@ -304,27 +278,27 @@ def corr_cross_row(
     terms, which is only valid for a field-free base model (single-spin means
     vanish by symmetry); models with longitudinal fields are rejected.
     """
-    ProbeSpec("cross_row_real", (site_a, site_b), delta)  # rejects sites in one row
+    if not 0.0 < delta <= MAX_PROBE_DELTA:
+        raise ValueError(f"probe delta must be in (0, {MAX_PROBE_DELTA}]")
+    if site_a[1] == site_b[1]:
+        raise ValueError("cross-row probes need sites in different rows")
     if setup.base_model().fields:
         raise ValueError("cross-row probes require a base model without longitudinal fields")
     signs = probe_sign_table()
-
-    def estimate(d: float) -> complex:
-        r_re = _ratio_minus_one(
-            setup, backend, field_probe_delta=d + 0j, field_sites=(site_a, site_b)
-        )
-        r_rot = _ratio_minus_one(
-            setup,
-            backend,
-            field_probe_delta=d * cmath.exp(1j * math.pi / 4.0),
-            field_sites=(site_a, site_b),
-        )
-        return complex(
+    steps = (delta, delta / 2.0)
+    rotation = cmath.exp(1j * math.pi / 4.0)
+    (ia, ra), (ib, rb) = site_a, site_b
+    r = _ratios_minus_one(
+        setup,
+        backend,
+        [((), ((ia, ra, dv), (ib, rb, dv))) for d in steps for dv in (d + 0j, d * rotation)],
+    )
+    raw, half = (
+        complex(
             signs["cross_row_real"] * r_re / (2.0 * d * d) - 1.0,
             signs["cross_row_rotated"] * r_rot / (2.0 * d * d),
         )
-
-    raw = estimate(delta)
-    half = estimate(delta / 2.0)
+        for d, r_re, r_rot in zip(steps, r[::2], r[1::2])
+    )
     extrapolated = (4.0 * half - raw) / 3.0  # leading error is O(delta^2)
     return CorrelationEstimate(raw, extrapolated, delta, backend, "cross_row")

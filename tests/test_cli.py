@@ -8,6 +8,8 @@ import pytest
 
 from conftest import child_env
 from pfzeros.cli import DEFAULT_WINDOWS, main
+from pfzeros.model import build_cylinder
+from pfzeros.oracle import correlation
 
 
 def run(args):
@@ -156,6 +158,23 @@ class TestCorr:
         assert doc["method"] == "cross_row"
         assert doc["abs_error_vs_oracle"] < 1e-3
 
+    @pytest.mark.parametrize("backend", ["oracle", "kicked"])
+    def test_same_row_with_field(self, tmp_path, backend):
+        out = tmp_path / "cf"
+        assert run(["--task", "corr", "--model", "cylinder:3x2", "--backend", backend,
+                    "--fixed-k=-0.25,0.1", "--fixed-h=0.2,0.05", "--sites", "0,0;2,0",
+                    "--out", out]) == 0
+        doc = json.loads((tmp_path / "cf.json").read_text())
+        field_free = correlation(build_cylinder(3, 2, -0.25 + 0.1j, -0.25 + 0.1j), 0, 2)
+        assert abs(complex(*doc["oracle"]) - field_free) > 1e-2  # the field is applied
+        assert doc["abs_error_vs_oracle"] < 1e-3
+
+    def test_cross_row_with_field_is_config_error(self, tmp_path, capsys):
+        assert run(["--task", "corr", "--model", "cylinder:3x2", "--fixed-k=-0.25",
+                    "--fixed-h=0.2", "--sites", "0,0;1,1", "--out", tmp_path / "x"]) == 2
+        assert "longitudinal" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestErrors:
     def test_bad_model_is_config_error(self, tmp_path):
@@ -240,7 +259,8 @@ class TestErrors:
         {"task": "bogus"},
         {"plane": "bogus", "window": None},
         {"backend": "bogus"},
-    ], ids=["task", "plane", "backend"])
+        {"plane": None},
+    ], ids=["task", "plane", "backend", "plane-null"])
     def test_rerun_config_with_unknown_choice_is_config_error(self, tmp_path, monkeypatch, capsys,
                                                              changes):
         assert run(["--task", "scan", "--model", "chain:3", "--res", "4x4",
@@ -286,6 +306,33 @@ class TestErrors:
         assert "Traceback" not in capsys.readouterr().err
         roots = json.loads((tmp_path / "z.json").read_text())["polynomial_roots"]
         assert len(roots) == 1  # Z = e^K (1 + x), degree 1 in x
+
+    @pytest.mark.parametrize("task", [
+        ["--task", "noise", "--shots", "50"],
+        ["--task", "scan", "--backend", "kicked"],
+        ["--task", "zeros", "--backend", "kicked"],
+        ["--task", "scan", "--plane", "kickH"],
+    ], ids=["noise", "scan-kicked", "zeros-kicked", "kickH"])
+    def test_kicked_maps_refuse_field(self, tmp_path, monkeypatch, capsys, task):
+        # the kicked maps are computed at H = 0, so a field would be recorded but not applied
+        def refuse(*args, **kwargs):
+            raise AssertionError("work started before the field was checked")
+        monkeypatch.setattr("pfzeros.cli.scan", refuse)
+        monkeypatch.setattr("pfzeros.cli.density_of_states", refuse)
+        assert run(task + ["--model", "cylinder:3x3", "--fixed-h=0.3", "--res", "6x6",
+                           "--out", tmp_path / "f"]) == 2
+        assert "longitudinal field" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("backend", ["effective", "full", "streamed"])
+    def test_noise_refuses_circuit_backends(self, tmp_path, monkeypatch, capsys, backend):
+        def refuse(*args, **kwargs):
+            raise AssertionError("work started before the backend was checked")
+        monkeypatch.setattr("pfzeros.cli.parse_model", refuse)
+        assert run(["--task", "noise", "--model", "cylinder:3x3", "--backend", backend,
+                    "--res", "6x6", "--shots", "50", "--out", tmp_path / "n"]) == 2
+        assert "oracle or kicked backend" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_bad_noise_cut_rejected_before_work(self, tmp_path):
         out = tmp_path / "n"

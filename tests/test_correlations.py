@@ -4,11 +4,12 @@ import math
 import pytest
 
 from conftest import random_complex
+import pfzeros.correlations as correlations
 from pfzeros.correlations import (
+    MAX_PROBE_DELTA,
     NOMINAL_SIGNS,
     KickedSetup,
-    ProbeSpec,
-    _ratio_minus_one,
+    _ratios_minus_one,
     corr_cross_row,
     corr_norm_ratio,
     corr_same_row,
@@ -17,17 +18,57 @@ from pfzeros.correlations import (
 from pfzeros.errors import IllConditionedError
 from pfzeros.model import build_chain, from_edge_list
 from pfzeros.oracle import correlation
+from pfzeros.statevector import run_streamed
 
 
-class TestProbeSpec:
+class TestProbeChecks:
     def test_validation(self):
-        ProbeSpec("same_row_real", ((0, 0), (1, 0)), 0.01)
-        with pytest.raises(ValueError):
-            ProbeSpec("bogus", ((0, 0), (1, 0)), 0.01)
-        with pytest.raises(ValueError):
-            ProbeSpec("same_row_real", ((0, 0), (1, 0)), 0.2)
-        with pytest.raises(ValueError):
-            ProbeSpec("cross_row_real", ((0, 0), (1, 0)), 0.01)
+        setup = KickedSetup(3, 2, -0.25 + 0.1j, -0.2 + 0.05j)
+        corr_same_row(setup, 0, 1, 0, delta=MAX_PROBE_DELTA)
+        for delta in (0.2, 0.0, -0.01):
+            with pytest.raises(ValueError, match="probe delta"):
+                corr_same_row(setup, 0, 1, 0, delta=delta)
+            with pytest.raises(ValueError, match="probe delta"):
+                corr_cross_row(setup, (0, 0), (1, 1), delta=delta)
+        with pytest.raises(ValueError, match="different rows"):
+            corr_cross_row(setup, (0, 0), (1, 0), delta=0.01)
+
+
+class TestRatios:
+    """One probe list serves every backend; the base is measured once."""
+
+    setup = KickedSetup(3, 2, -0.25 + 0.1j, -0.2 + 0.05j, h=0.2 + 0.05j)
+    probes = [
+        (((0, 2, 0, 0.01 + 0j),), ()),
+        ((), ((0, 0, 0.01j), (1, 1, 0.01j))),
+        (((1, 2, 1, 0.01 + 0j), (0, 1, 0, -0.01j)), ((2, 1, 0.005 + 0j),)),
+    ]
+
+    def test_probed_model_applies_probes_in_order(self):
+        model = self.setup.probed_model(*self.probes[2])
+        couplings = {b.key(): b.coupling for b in model.bonds}
+        base = {b.key(): b.coupling for b in self.setup.base_model().bonds}
+        assert couplings[(4, 5)] == base[(4, 5)] + 0.01
+        assert couplings[(0, 1)] == base[(0, 1)] - 0.01j
+        fields = {f.i: f.field for f in model.fields}
+        assert fields[self.setup.site(2, 1)] == self.setup.h + 0.005
+        assert fields[self.setup.site(0, 0)] == self.setup.h
+
+    @pytest.mark.parametrize("backend", ["effective", "full", "streamed", "kicked"])
+    def test_backends_agree(self, backend):
+        want = _ratios_minus_one(self.setup, "oracle", self.probes)
+        got = _ratios_minus_one(self.setup, backend, self.probes)
+        assert got == pytest.approx(want, rel=1e-8, abs=1e-12)
+
+    def test_kicked_base_measured_once(self, monkeypatch):
+        runs = []
+
+        def counted(circ):
+            runs.append(circ)
+            return run_streamed(circ)
+        monkeypatch.setattr(correlations, "run_streamed", counted)
+        _ratios_minus_one(self.setup, "kicked", self.probes)
+        assert len(runs) == 1 + len(self.probes)
 
 
 class TestSignTable:
@@ -103,13 +144,23 @@ class TestSameRow:
 
     def test_probe_sign_antisymmetry(self):
         # flipping the probe sign flips the first-order response
-        r_plus = _ratio_minus_one(self.setup, "oracle", coupling_probe=(0, 2, 0, 0.01 + 0j))
-        r_minus = _ratio_minus_one(self.setup, "oracle", coupling_probe=(0, 2, 0, -0.01 + 0j))
+        r_plus, r_minus = _ratios_minus_one(self.setup, "oracle", [
+            (((0, 2, 0, 0.01 + 0j),), ()),
+            (((0, 2, 0, -0.01 + 0j),), ()),
+        ])
         assert r_plus == pytest.approx(-r_minus, abs=5e-4)
 
     def test_same_site_rejected(self):
         with pytest.raises(ValueError):
             corr_same_row(self.setup, 1, 1, 0)
+
+    @pytest.mark.parametrize("backend", ["oracle", "effective", "kicked"])
+    def test_longitudinal_field(self, backend):
+        # the kicked circuit realizes the field with one z-field gadget per spin per layer
+        setup = KickedSetup(3, 2, -0.25 + 0.1j, -0.2 + 0.05j, h=0.2 + 0.05j)
+        target = correlation(setup.base_model(), setup.site(0, 0), setup.site(2, 0))
+        est = corr_same_row(setup, 0, 2, 0, delta=0.01, backend=backend)
+        assert abs(est.value - target) < 5e-4
 
 
 class TestCrossRow:
@@ -140,10 +191,10 @@ class TestCrossRow:
 
     def test_quadratic_probe_scaling(self):
         d = 0.02
-        r1 = _ratio_minus_one(self.setup, "oracle", field_probe_delta=d + 0j,
-                              field_sites=((0, 0), (1, 1)))
-        r2 = _ratio_minus_one(self.setup, "oracle", field_probe_delta=d / 2 + 0j,
-                              field_sites=((0, 0), (1, 1)))
+        r1, r2 = _ratios_minus_one(self.setup, "oracle", [
+            ((), ((0, 0, d + 0j), (1, 1, d + 0j))),
+            ((), ((0, 0, d / 2 + 0j), (1, 1, d / 2 + 0j))),
+        ])
         assert r1 / r2 == pytest.approx(4.0, rel=0.05)
 
     def test_same_row_rejected(self):
