@@ -16,12 +16,12 @@ from .circuits import (
     resource_counts,
 )
 from .correlations import (
+    PROBE_SIGNS,
     CorrelationEstimate,
     KickedSetup,
     corr_cross_row,
     corr_norm_ratio,
     corr_same_row,
-    probe_sign_table,
 )
 from .errors import CapExceededError, ConvergenceError, IllConditionedError, PfzError
 from .evaluators import (

@@ -7,42 +7,32 @@ z-fields delta-B on a cross-row pair (second-order response, which requires a
 field-free base model).  Every backend reads one probe format, (i, k, row,
 delta-K) and (i, row, delta-B) tuples: the kicked backend compiles them into
 its circuit, the others apply them to the model.
-
-The nominal first-order probe signs below are treated as hypotheses: a
-one-time oracle calibration on a 2-spin instance fixes the sign table, and
-any disagreement with the nominal formulas is logged.
 """
 
 from __future__ import annotations
 
 import cmath
-import logging
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .circuits import Circuit, compile_general, compile_kicked, kick_field_for_ky
 from .errors import IllConditionedError
 from .model import (
     IsingModel,
     build_cylinder,
-    from_edge_list,
     with_bond_delta,
     with_field_delta,
 )
 from .oracle import brute_force_Z_with_scale
 from .statevector import run_effective, run_full, run_streamed
 
-logger = logging.getLogger(__name__)
-
 MAX_PROBE_DELTA = 0.05
 MIN_PROBABILITY = 1e-24  # a base return probability at or below this is ill-conditioned
 
-# Nominal response signs (|Z(d)|^2/|Z(0)|^2 - 1 ~ sign * 2d*Re<ss>, etc.).
+# Response signs (|Z(d)|^2/|Z(0)|^2 - 1 ~ sign * 2d*Re<ss>, etc.).
 # The weight is exp(-K ss), so dZ/dK = -Z<ss>: K -> K+d moves |Z|^2 by
-# -2d Re<ss> |Z|^2, and K -> K+id by +2d Im<ss> |Z|^2.  probe_sign_table
-# checks these against the exact oracle.
-NOMINAL_SIGNS = {
+# -2d Re<ss> |Z|^2, and K -> K+id by +2d Im<ss> |Z|^2.
+PROBE_SIGNS = {
     "same_row_real": -1.0,
     "same_row_imag": 1.0,
     "cross_row_real": 1.0,
@@ -160,61 +150,6 @@ def _ratios_minus_one(setup: KickedSetup, backend: str, probes) -> list[float]:
     ]
 
 
-@lru_cache(maxsize=1)
-def probe_sign_table() -> dict[str, float]:
-    """Resolve the response signs once against the exact oracle (2-spin instance).
-
-    Logs a warning listing every probe whose resolved sign disagrees with the
-    nominal formula.
-    """
-    from .oracle import correlation
-
-    k0 = 0.21 + 0.13j
-    model = from_edge_list(2, [(0, 1, k0)])
-    target = correlation(model, 0, 1)
-    delta = 1e-4
-
-    def z2(m: IsingModel) -> float:
-        z, _ = brute_force_Z_with_scale(m)
-        return abs(z) ** 2
-
-    base = z2(model)
-    table: dict[str, float] = {}
-
-    r = z2(with_bond_delta(model, 0, 1, delta)) / base - 1.0
-    g = r / (2.0 * delta)
-    table["same_row_real"] = 1.0 if abs(g - target.real) < abs(-g - target.real) else -1.0
-
-    r = z2(with_bond_delta(model, 0, 1, 1j * delta)) / base - 1.0
-    g = r / (2.0 * delta)
-    table["same_row_imag"] = 1.0 if abs(g - target.imag) < abs(-g - target.imag) else -1.0
-
-    def field_probed(dv: complex) -> float:
-        m = with_field_delta(with_field_delta(model, 0, dv), 1, dv)
-        return z2(m) / base - 1.0
-
-    delta2 = 5e-3
-    r = field_probed(delta2)
-    g = r / (2.0 * delta2**2)
-    table["cross_row_real"] = (
-        1.0 if abs(g - 1.0 - target.real) < abs(-g - 1.0 - target.real) else -1.0
-    )
-
-    r = field_probed(delta2 * cmath.exp(1j * math.pi / 4.0))
-    g = r / (2.0 * delta2**2)
-    table["cross_row_rotated"] = 1.0 if abs(g - target.imag) < abs(-g - target.imag) else -1.0
-
-    mismatched = [k for k, v in table.items() if v != NOMINAL_SIGNS[k]]
-    if mismatched:
-        logger.warning(
-            "probe-sign calibration disagrees with the nominal formulas for %s; "
-            "resolved table: %s",
-            ", ".join(sorted(mismatched)),
-            table,
-        )
-    return table
-
-
 @dataclass(frozen=True)
 class CorrelationEstimate:
     raw: complex
@@ -248,15 +183,14 @@ def corr_same_row(
         raise ValueError(f"probe delta must be in (0, {MAX_PROBE_DELTA}]")
     if i == k:
         raise ValueError("same-row probe needs two distinct spins")
-    signs = probe_sign_table()
     steps = (delta, delta / 2.0)
     r = _ratios_minus_one(
         setup, backend, [(((i, k, row, dk),), ()) for d in steps for dk in (d + 0j, 1j * d)]
     )
     raw, half = (
         complex(
-            signs["same_row_real"] * r_re / (2.0 * d),
-            signs["same_row_imag"] * r_im / (2.0 * d),
+            PROBE_SIGNS["same_row_real"] * r_re / (2.0 * d),
+            PROBE_SIGNS["same_row_imag"] * r_im / (2.0 * d),
         )
         for d, r_re, r_im in zip(steps, r[::2], r[1::2])
     )
@@ -284,7 +218,6 @@ def corr_cross_row(
         raise ValueError("cross-row probes need sites in different rows")
     if setup.base_model().fields:
         raise ValueError("cross-row probes require a base model without longitudinal fields")
-    signs = probe_sign_table()
     steps = (delta, delta / 2.0)
     rotation = cmath.exp(1j * math.pi / 4.0)
     (ia, ra), (ib, rb) = site_a, site_b
@@ -295,8 +228,8 @@ def corr_cross_row(
     )
     raw, half = (
         complex(
-            signs["cross_row_real"] * r_re / (2.0 * d * d) - 1.0,
-            signs["cross_row_rotated"] * r_rot / (2.0 * d * d),
+            PROBE_SIGNS["cross_row_real"] * r_re / (2.0 * d * d) - 1.0,
+            PROBE_SIGNS["cross_row_rotated"] * r_rot / (2.0 * d * d),
         )
         for d, r_re, r_rot in zip(steps, r[::2], r[1::2])
     )

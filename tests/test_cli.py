@@ -175,6 +175,25 @@ class TestCorr:
         assert "longitudinal" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    def test_kicked_past_enumeration_cap_omits_norm_ratio(self, tmp_path):
+        # 30 spins: the kicked estimate runs, the norm ratio's 2^N enumeration does not
+        out = tmp_path / "big"
+        assert run(["--task", "corr", "--backend", "kicked", "--model", "cylinder:6x5",
+                    "--fixed-k=-0.3,0.05", "--sites", "0,0;2,0", "--out", out]) == 0
+        doc = json.loads((tmp_path / "big.json").read_text())
+        assert all(math.isfinite(v) for v in doc["value"])
+        assert "norm_ratio" not in doc and "oracle" not in doc
+
+    @pytest.mark.parametrize("backend, sites", [
+        ("kicked", "0,0;2,0"), ("kicked", "0,0;1,1"), ("effective", "0,0;1,1"),
+    ])
+    def test_rerun_bytes(self, tmp_path, backend, sites):
+        a, b = tmp_path / "a", tmp_path / "b"
+        assert run(["--task", "corr", "--backend", backend, "--model", "cylinder:3x2",
+                    "--fixed-k=-0.25,0.1", "--sites", sites, "--out", a]) == 0
+        assert run(["--rerun-from", f"{a}.json", "--out", b]) == 0
+        assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+
 
 class TestErrors:
     def test_bad_model_is_config_error(self, tmp_path):

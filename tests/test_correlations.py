@@ -1,4 +1,4 @@
-import logging
+import cmath
 import math
 
 import pytest
@@ -7,17 +7,16 @@ from conftest import random_complex
 import pfzeros.correlations as correlations
 from pfzeros.correlations import (
     MAX_PROBE_DELTA,
-    NOMINAL_SIGNS,
+    PROBE_SIGNS,
     KickedSetup,
     _ratios_minus_one,
     corr_cross_row,
     corr_norm_ratio,
     corr_same_row,
-    probe_sign_table,
 )
 from pfzeros.errors import IllConditionedError
-from pfzeros.model import build_chain, from_edge_list
-from pfzeros.oracle import correlation
+from pfzeros.model import build_chain, from_edge_list, with_bond_delta, with_field_delta
+from pfzeros.oracle import brute_force_Z, correlation
 from pfzeros.statevector import run_streamed
 
 
@@ -73,22 +72,42 @@ class TestRatios:
 
 class TestSignTable:
     def test_resolved_table(self):
-        table = probe_sign_table()
         # w = exp(-K ss): a real coupling probe lowers |Z|^2 by 2d Re<ss>, an
         # imaginary one raises it by 2d Im<ss>
-        assert table == {
+        assert PROBE_SIGNS == {
             "same_row_real": -1.0,
             "same_row_imag": 1.0,
             "cross_row_real": 1.0,
             "cross_row_rotated": -1.0,
         }
 
-    def test_calibration_agrees_with_nominal(self, caplog):
-        probe_sign_table.cache_clear()
-        with caplog.at_level(logging.WARNING, logger="pfzeros.correlations"):
-            table = probe_sign_table()
-        assert [r for r in caplog.records if r.levelno >= logging.WARNING] == []
-        assert table == NOMINAL_SIGNS
+    def test_signs_match_exact_response(self):
+        # each probe on the 2-spin model, put through its estimator's formula,
+        # lands on its component of the exact <s0 s1> with the table's sign only
+        model = from_edge_list(2, [(0, 1, 0.21 + 0.13j)])
+        target = correlation(model, 0, 1)
+        base = abs(brute_force_Z(model)) ** 2
+
+        def response(probed):
+            return abs(brute_force_Z(probed)) ** 2 / base - 1.0
+
+        def field_probed(dv):
+            return with_field_delta(with_field_delta(model, 0, dv), 1, dv)
+
+        d1, d2 = 1e-4, 5e-3
+        rotation = cmath.exp(1j * math.pi / 4.0)
+        cases = {
+            "same_row_real": (response(with_bond_delta(model, 0, 1, d1)) / (2 * d1), 0.0,
+                              target.real),
+            "same_row_imag": (response(with_bond_delta(model, 0, 1, 1j * d1)) / (2 * d1), 0.0,
+                              target.imag),
+            "cross_row_real": (response(field_probed(d2)) / (2 * d2 * d2), -1.0, target.real),
+            "cross_row_rotated": (response(field_probed(d2 * rotation)) / (2 * d2 * d2), 0.0,
+                                  target.imag),
+        }
+        for key, (g, offset, want) in cases.items():
+            assert abs(PROBE_SIGNS[key] * g + offset - want) < 1e-2, key
+            assert abs(-PROBE_SIGNS[key] * g + offset - want) > 1e-2, key
 
 
 class TestNormRatio:
