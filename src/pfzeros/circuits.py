@@ -124,8 +124,17 @@ def gadget_params_coupling(k_real: float) -> GadgetParams:
     e^{-K^R s_i s_j} up to the factor e^{-|K^R|} on every basis configuration.
     """
     k_real = float(k_real)
-    kappa = math.acos(math.exp(-2.0 * abs(k_real))) / 2.0
-    return GadgetParams(kappa, math.copysign(kappa, k_real) if k_real else 0.0, abs(k_real))
+    _, kappa, partner = _block_angles(complex(k_real))
+    return GadgetParams(kappa, partner, abs(k_real))
+
+
+def _block_angles(c: complex) -> tuple[float, float, float]:
+    """Gate angles of the block of complex weight c, in gate order: c^I for its
+    unitary gate, then kappa = arccos(e^{-2|c^R|})/2 and kappa' = sgn(c^R) kappa
+    for its gadget.  The one angle rule of every block and of
+    gadget_params_coupling."""
+    kappa = math.acos(math.exp(-2.0 * abs(c.real))) / 2.0
+    return c.imag, kappa, math.copysign(kappa, c.real) if c.real else 0.0
 
 
 class _Builder:
@@ -138,44 +147,31 @@ class _Builder:
     def gate(self, kind: str, qubits: tuple[int, ...], angle: float) -> None:
         self.gates.append(Gate(kind, qubits, float(angle)))
 
-    def gadget(self, role: QubitRole, gate_specs, log_weight: float) -> None:
+    def block(self, role: QubitRole, c: complex, gate_specs) -> None:
+        """One block of weight c: gate_specs are its unitary gate and its two
+        gadget gates as (kind, qubits), None standing for the block's ancilla."""
+        (kind, qubits), *gadget_specs = gate_specs
+        theta, *gadget_angles = _block_angles(c)
+        self.gate(kind, qubits, theta)
         anc = len(self.roles)
         self.roles.append(role)
         start = len(self.gates)
-        for kind, qubits, angle in gate_specs:
+        for (kind, qubits), angle in zip(gadget_specs, gadget_angles):
             self.gate(kind, tuple(q if q is not None else anc for q in qubits), angle)
         self.gadgets.append(Gadget(len(self.gadgets), anc, (start, len(self.gates))))
-        self.log_prefactor += log_weight
+        self.log_prefactor += abs(c.real)
 
     def coupling_block(self, i: int, j: int, K: complex) -> None:
-        self.gate("zz", (i, j), K.imag)
-        p = gadget_params_coupling(K.real)
-        self.gadget(
-            QubitRole.ANCILLA_X,
-            [("zz", (i, None), p.strength), ("zz", (j, None), p.partner)],
-            p.log_weight,
-        )
+        self.block(QubitRole.ANCILLA_X, K, [("zz", (i, j)), ("zz", (i, None)), ("zz", (j, None))])
 
     def field_block(self, i: int, H: complex) -> None:
-        self.gate("zrot", (i,), H.imag)
         # lambda = arccos(e^{-2|H^R|})/2 and mu = +sgn(H^R) * lambda, the angles of a
         # coupling gadget of strength H^R: mu of this sign makes the projected
         # gadget equal e^{-H^R s} exactly; the opposite sign would realize e^{+H^R s}.
-        p = gadget_params_coupling(H.real)
-        self.gadget(
-            QubitRole.ANCILLA_X,
-            [("zz", (i, None), p.strength), ("zrot", (None,), p.partner)],
-            p.log_weight,
-        )
+        self.block(QubitRole.ANCILLA_X, H, [("zrot", (i,)), ("zz", (i, None)), ("zrot", (None,))])
 
     def transverse_block(self, i: int, H: complex) -> None:
-        self.gate("xrot", (i,), H.imag)
-        p = gadget_params_coupling(H.real)
-        self.gadget(
-            QubitRole.ANCILLA_Z,
-            [("xx", (i, None), p.strength), ("xrot", (None,), p.partner)],
-            p.log_weight,
-        )
+        self.block(QubitRole.ANCILLA_Z, H, [("xrot", (i,)), ("xx", (i, None)), ("xrot", (None,))])
 
     def finish(self, extra_log_prefactor: float = 0.0) -> Circuit:
         c = Circuit(
@@ -188,6 +184,20 @@ class _Builder:
         return c
 
 
+def _general_structure(model: IsingModel) -> tuple:
+    """What compile_general's circuit depends on besides its angles and
+    log_prefactor: models with equal keys compile to equal roles, gate kinds
+    and qubits, and gadgets."""
+    return (model.n_spins, tuple((b.i, b.j) for b in model.bonds),
+            tuple(f.i for f in model.fields))
+
+
+def _general_angles(model: IsingModel) -> list[float]:
+    """The gate angles of compile_general(model), in gate order, without its gates."""
+    weights = [b.coupling for b in model.bonds] + [f.field for f in model.fields]
+    return [a for c in weights for a in _block_angles(complex(c))]
+
+
 def compile_general(model: IsingModel) -> Circuit:
     """General-scheme circuit: |Z| = e^{log_prefactor} * |<psi0|U|psi0>|.
 
@@ -195,7 +205,7 @@ def compile_general(model: IsingModel) -> Circuit:
     e^{-K^R ss}; each field term to zrot(i,H^I) plus a gadget for e^{-H^R s}.
     log_prefactor = N ln2 + sum|K^R| + sum|H^R|.  Ancillas are allocated even
     for vanishing real parts, so that resource counts follow the 3NL-N /
-    6NL-3N accounting.
+    6NL-3N accounting, and the circuit's structure is _general_structure(model).
     """
     b = _Builder(model.n_spins)
     for bond in model.bonds:

@@ -94,6 +94,11 @@ class RunConfig:
                 raise ValueError(f"config field {name!r} must be finite, got {value!r}")
         if self.seed < 0:  # numpy seeds its streams from non-negative ints only
             raise ValueError(f"config field 'seed' must be >= 0, got {self.seed!r}")
+        # a field the task does not read would be recorded in its outputs as if it had
+        if self.cut is not None and self.task != "noise":
+            raise ValueError(f"config field 'cut' is read by the noise task only, not {self.task}")
+        if self.model and self.task == "verify":
+            raise ValueError("the verify task checks its own models and takes no 'model'")
 
     def resolved_window(self) -> tuple[float, float, float, float]:
         if self.window is not None:

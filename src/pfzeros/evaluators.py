@@ -20,7 +20,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuits import compile_general, compile_kicked, kicked_log_factor
+from .circuits import (
+    _general_angles,
+    _general_structure,
+    compile_general,
+    compile_kicked,
+    kicked_log_factor,
+)
 from .oracle import DensityOfStates, transfer_matrix_Z_grid
 from .statevector import run_effective, run_full, run_streamed
 from .zeros import ZERO_FAMILY, _horner, plane_to_poly, polynomial_coefficients
@@ -131,8 +137,10 @@ class KickedFieldPlaneEvaluator:
 
 
 # Register amplitudes per block of points.  Blocks of 2^14 (256 KiB) leave no
-# heap growth behind; 4x larger ones scan the 3x3 cylinder 10 % faster but raise
-# the peak RSS of a later 21-qubit register in the same process by 0.3-0.5 MB.
+# heap growth behind; 4x larger ones scan the 3x3 cylinder's 24x24 grid about
+# 17 % faster (0.159 -> 0.131 s, medians of six alternating processes on a
+# 2-CPU x86-64 VM) but raise the peak RSS of a later 21-qubit register in the
+# same process by 0.4-0.5 MB.
 _AMPLITUDE_BUDGET = 1 << 14
 
 
@@ -143,11 +151,13 @@ def _log_probability(amplitude: complex) -> float:
 
 class GeneralCircuitEvaluator:
     """ln L of the compiled general-scheme circuit; model_factory maps a scan
-    point to an IsingModel.  Points whose circuits share a structure (roles,
-    gate kinds and qubits, gadgets; an exactly zero field drops its terms)
-    are simulated as one batch, in blocks of about _AMPLITUDE_BUDGET register
-    amplitudes.  A point without a model (x = 0, tanhK = +-1) is NaN; a
-    register over its cap raises CapExceededError before it is allocated.
+    point to an IsingModel.  Points whose models share a structure (spin count,
+    bond pairs and field sites in order; an exactly zero field drops its terms)
+    share one circuit, compiled and validated once per evaluate_grid call, and
+    are simulated as one batch of their own angles, in blocks of about
+    _AMPLITUDE_BUDGET register amplitudes.  A point without a model (x = 0,
+    tanhK = +-1) is NaN; a register over its cap raises CapExceededError
+    before it is allocated.
     """
 
     def __init__(self, model_factory, backend: str = "streamed"):
@@ -158,7 +168,8 @@ class GeneralCircuitEvaluator:
 
     def evaluate_grid(self, mesh: np.ndarray) -> np.ndarray:
         values = np.full(mesh.size, np.nan)
-        groups: dict[tuple, tuple] = {}  # structure -> (first circuit, indices, angle rows)
+        templates: dict = {}  # structure -> its compiled circuit, for the whole grid
+        groups: dict[tuple, tuple] = {}  # structure -> (circuit, indices, angle rows) of a block
         pending = 0
         for i, w in enumerate(mesh.ravel()):
             try:
@@ -168,11 +179,13 @@ class GeneralCircuitEvaluator:
             if self.backend == "effective":
                 values[i] = _log_probability(run_effective(model).amplitude)
                 continue
-            circ = compile_general(model)
-            key = (circ.roles, tuple((g.kind, g.qubits) for g in circ.gates), circ.gadgets)
+            key = _general_structure(model)
+            circ = templates.get(key)
+            if circ is None:
+                circ = templates[key] = compile_general(model)
             _, index, angles = groups.setdefault(key, (circ, [], []))
             index.append(i)
-            angles.append([g.angle for g in circ.gates])
+            angles.append(_general_angles(model))
             pending += 1 << (circ.n_qubits if self.backend == "full" else circ.n_physical + 1)
             if pending >= _AMPLITUDE_BUDGET:
                 self._simulate(groups, values)

@@ -65,9 +65,11 @@ def _overlaps(amp: np.ndarray, roles: tuple[QubitRole, ...]) -> list[complex]:
 
 def _axis_view(amp: np.ndarray, n: int, qubits: tuple[int, ...]) -> np.ndarray:
     """View of amp[state(, point)] with the given qubits moved to the leading
-    axes (bit q -> axis), the point axis last."""
-    a = amp.reshape((2,) * n + (-1,))
-    return np.moveaxis(a, [n - 1 - q for q in qubits], range(len(qubits)))
+    axes (bit q -> axis), the point axis last: np.moveaxis's view, without
+    its axis normalization on every gate."""
+    lead = [n - 1 - q for q in qubits]
+    order = lead + [a for a in range(n + 1) if a not in lead]
+    return amp.reshape((2,) * n + (-1,)).transpose(order)
 
 
 def _rotate(x: np.ndarray, phase: np.ndarray, single: bool) -> None:

@@ -4,11 +4,13 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_complex
+from conftest import random_complex, random_model
 from pfzeros.circuits import (
     Circuit,
     Gate,
     QubitRole,
+    _general_angles,
+    _general_structure,
     compile_general,
     compile_kicked,
     gadget_params_coupling,
@@ -128,6 +130,44 @@ class TestCompileGeneral:
     def test_ancillas_allocated_even_for_zero_real_part(self):
         m = from_edge_list(2, [(0, 1, 0.7j)])
         assert resource_counts(compile_general(m)).n_ancilla_x == 1
+
+
+def _signed_zero_models():
+    """Models whose weights have +-0.0 real or imaginary parts, or are exactly zero."""
+    z = (0.0, -0.0)
+    weights = [complex(re, im) for re in z for im in z]
+    weights += [complex(re, 0.4) for re in z] + [complex(-0.3, im) for im in z]
+    n = len(weights)
+    ring = [(i, (i + 1) % n, w) for i, w in enumerate(weights)]
+    fields = [(i, w) for i, w in enumerate(reversed(weights))]
+    return [from_edge_list(n, ring, fields), from_edge_list(2, [(1, 0, 0.3 - 0.2j)], [(1, 0j)])]
+
+
+def _structure(circ):
+    return circ.roles, tuple((g.kind, g.qubits) for g in circ.gates), circ.gadgets
+
+
+class TestGeneralTemplate:
+    def test_angles_are_the_compiled_angles_bitwise(self, rng):
+        # inhomogeneous couplings and fields, signed zeros, and an exactly zero field
+        models = [random_model(rng) for _ in range(60)] + _signed_zero_models()
+        for m in models:
+            compiled = np.array([g.angle for g in compile_general(m).gates])
+            assert np.array(_general_angles(m)).tobytes() == compiled.tobytes()
+
+    def test_equal_structure_keys_compile_to_equal_structures(self, rng):
+        def redraw(m):  # the same bond pairs and field sites, fresh weights (zero real parts too)
+            weight = lambda: complex(rng.choice([0.0, -0.0, rng.normal(0, 0.5)]), rng.normal(0, 0.5))
+            return from_edge_list(m.n_spins, [(b.i, b.j, weight()) for b in m.bonds],
+                                  [(f.i, weight()) for f in m.fields])
+
+        models = [random_model(rng, n_max=5) for _ in range(40)] + _signed_zero_models()
+        models += [redraw(m) for m in models for _ in range(2)]
+        compiled = {}
+        for m in models:
+            structure = _structure(compile_general(m))
+            assert compiled.setdefault(_general_structure(m), structure) == structure
+        assert len(compiled) < len(models) // 2
 
 
 class TestCompileKicked:

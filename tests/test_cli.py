@@ -447,6 +447,41 @@ class TestErrors:
         assert "config field 'seed' must be >= 0" in capsys.readouterr().err
         assert not list(tmp_path.glob("rerun*"))
 
+    @pytest.mark.parametrize("task, expected", [
+        (["--task", "scan", "--model", "cylinder:3x2", "--res", "4x4", "--cut", "im=0.3"],
+         "config field 'cut' is read by the noise task only, not scan"),
+        (["--task", "verify", "--draws", "1", "--model", "cylinder:9x9"],
+         "the verify task checks its own models and takes no 'model'"),
+    ], ids=["scan-cut", "verify-model"])
+    def test_unread_config_field_is_config_error_before_work(self, tmp_path, monkeypatch, capsys,
+                                                             task, expected):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the task started with a config field it does not read")
+        monkeypatch.setattr("pfzeros.cli.cmd_scan", refuse)
+        monkeypatch.setattr("pfzeros.cli.cmd_verify", refuse)
+        assert run(task + ["--out", tmp_path / "o"]) == 2
+        assert capsys.readouterr().err == f"error: {expected}\n"
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("key, value, expected", [
+        ("cut", "im=0.3", "config field 'cut' is read by the noise task only, not verify"),
+        ("model", "cylinder:9x9", "the verify task checks its own models and takes no 'model'"),
+    ], ids=["cut", "model"])
+    def test_rerun_config_with_unread_field_is_config_error(self, tmp_path, monkeypatch, capsys,
+                                                            key, value, expected):
+        assert run(["--task", "verify", "--draws", "1", "--out", tmp_path / "v"]) == 0
+        doc = json.loads((tmp_path / "v.json").read_text())
+        doc["config"][key] = value
+        (tmp_path / "bad.json").write_text(json.dumps(doc))
+        capsys.readouterr()
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the task started with a config field it does not read")
+        monkeypatch.setattr("pfzeros.cli.cmd_verify", refuse)
+        assert run(["--rerun-from", tmp_path / "bad.json", "--out", tmp_path / "rerun"]) == 2
+        assert capsys.readouterr().err == f"error: {expected}\n"
+        assert not list(tmp_path.glob("rerun*"))
+
     @pytest.mark.parametrize("backend, model", [
         ("full", "cylinder:4x4"),  # 44 qubits in one register
         ("streamed", "cylinder:6x6"),  # 36 physical qubits plus the ancilla

@@ -105,6 +105,37 @@ def test_circuit_grid_peak_memory_bounded_by_block():
     assert peak < 4 * 2**20
 
 
+def _count_compiles(monkeypatch):
+    """The models that evaluate_grid compiles, in order."""
+    compiled = []
+
+    def counting(model):
+        compiled.append(model)
+        return compile_general(model)
+    monkeypatch.setattr(evaluators, "compile_general", counting)
+    return compiled
+
+
+def test_k_plane_scan_compiles_once(monkeypatch):
+    # 576 points share one structure, across the 36 blocks of 16 streamed 3x3 registers
+    compiled = _count_compiles(monkeypatch)
+    evaluator, mesh = _circuit_scan("cylinder:3x3", "streamed", "K", None, (24, 24))
+    assert np.isfinite(evaluator.evaluate_grid(mesh)).all()
+    assert len(compiled) == 1
+
+
+@pytest.mark.parametrize("budget", [None, 5 << 4])
+def test_h_plane_scan_compiles_each_structure_once(monkeypatch, budget):
+    # the GRID_CASES H plane holds H = 0, whose model has no field terms; with
+    # budget 5 << 4 the grid splits into five blocks, and no block compiles again
+    if budget is not None:
+        monkeypatch.setattr(evaluators, "_AMPLITUDE_BUDGET", budget)
+    compiled = _count_compiles(monkeypatch)
+    evaluator, mesh = _circuit_scan("chain:3", "streamed", "H", CENTRED_WINDOW, (5, 5))
+    evaluator.evaluate_grid(mesh)
+    assert sorted(len(m.fields) for m in compiled) == [0, 3]
+
+
 # ln|Z|^2 minus the oracle's value on each polynomial plane, from its scan point w
 _ORACLE_CORRECTION = {
     "K": lambda w, B, N: 0.0,

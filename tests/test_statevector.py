@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 
@@ -19,6 +20,7 @@ from pfzeros.model import build_chain, build_cylinder, from_edge_list
 from pfzeros.oracle import brute_force_Z, transfer_matrix_Z
 from pfzeros.statevector import (
     _apply,
+    _axis_view,
     _evolve_full,
     _gate_angles,
     _hadamard,
@@ -103,6 +105,18 @@ class TestGates:
         amp = plus_state(2)
         with pytest.raises(ValueError):
             apply(amp, 2, Gate("zrot", (5,), 0.1))
+
+    @pytest.mark.parametrize("shape", [(32,), (32, 3)], ids=["one-point", "three-points"])
+    def test_axis_view_is_the_moveaxis_view(self, shape):
+        # every ordered tuple of distinct qubits of a 5-qubit register
+        amp = np.arange(math.prod(shape), dtype=np.complex128).reshape(shape)
+        a = amp.reshape((2,) * 5 + (-1,))
+        for k in range(1, 6):
+            for qubits in itertools.permutations(range(5), k):
+                got = _axis_view(amp, 5, qubits)
+                want = np.moveaxis(a, [4 - q for q in qubits], range(k))
+                assert got.shape == want.shape and got.strides == want.strides
+                assert got.ctypes.data == want.ctypes.data == amp.ctypes.data
 
 
 class TestProductState:
