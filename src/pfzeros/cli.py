@@ -645,6 +645,9 @@ def _load_embedded_config(path: str) -> RunConfig:
             doc = json.load(fh)
     if not isinstance(doc, dict) or "config" not in doc:
         raise ValueError(f"{path} has no embedded pfzeros config")
+    version = doc.get("format_version")
+    if type(version) is not int or version != FORMAT_VERSION:
+        raise ValueError(f"{path} has format_version {version!r}; this pfzeros reads {FORMAT_VERSION}")
     return RunConfig.from_dict(doc["config"])
 
 

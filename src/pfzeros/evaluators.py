@@ -27,7 +27,7 @@ from .circuits import (
     compile_kicked,
     kicked_log_factor,
 )
-from .oracle import DensityOfStates, transfer_matrix_Z_grid
+from .oracle import DensityOfStates, momentum_Z_grid
 from .statevector import run_effective, run_full, run_streamed
 from .zeros import ZERO_FAMILY, _horner, plane_to_poly, polynomial_coefficients
 
@@ -84,11 +84,12 @@ def _kicked_log_L(n: int, L: int, Kx: np.ndarray, Ky: np.ndarray, H: np.ndarray)
     """ln L of the kicked protocol, elementwise over flat arrays of (Kx, Ky, H).
 
     ln L = ln|sinh(2H)^{N(L-1)} / 2^{N(L+1)}| + ln|Z(Kx, Ky)|^2 - 2 C with
-    C = N L |Kx^R| + N(L-1) |H^R| the gadget normalization.  Points where H
-    or ln L is not finite are NaN.
+    C = N L |Kx^R| + N(L-1) |H^R| the gadget normalization.  The field-free
+    ln|Z| comes from the momentum-block product (oracle.momentum_Z_grid),
+    O(N L) per point.  Points where H or ln L is not finite are NaN.
     """
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        logmag, _ = transfer_matrix_Z_grid(n, L, Kx, Ky, np.zeros_like(H))
+        logmag, _ = momentum_Z_grid(n, L, Kx, Ky)
         logL = (
             n * (L - 1) * np.log(np.abs(np.sinh(2.0 * H)))
             - n * (L + 1) * math.log(2.0)
@@ -237,9 +238,11 @@ def calibrate_kicked_relation(seed: int = 11) -> KickedCalibration:
 
     For each random complex (K, H) the simulated circuit probability is
     compared against |sinh(2H)^{N(L-1)}| * |Z(K, Ky)|^2 / 2^{N(L+1)} for both
-    signs of the coupling map; the winning sign is reported along with the
-    worst relative error of the calibrated relation, and the nominal exponent
-    N(L+1) is confirmed when the measurement implies it to within 1e-6.
+    signs of the coupling map, with the field-free Z from the momentum-block
+    product (oracle.momentum_Z_grid), the kernel of the kicked maps; the
+    winning sign is reported along with the worst relative error of the
+    calibrated relation, and the nominal exponent N(L+1) is confirmed when
+    the measurement implies it to within 1e-6.
     """
     rng = np.random.default_rng(seed)
     errors = {1.0: [], -1.0: []}
@@ -260,9 +263,7 @@ def calibrate_kicked_relation(seed: int = 11) -> KickedCalibration:
             for sign in (1.0, -1.0):
                 t = sign * np.tanh(H)
                 ky = np.log(t) / 2.0
-                logmag, _ = transfer_matrix_Z_grid(
-                    n, L, np.array([K]), np.array([ky]), np.array([0j])
-                )
+                logmag, _ = momentum_Z_grid(n, L, K, ky)
                 predicted = kicked_log_factor(n, L, H) + 2.0 * float(logmag[0])
                 errors[sign].append(abs(math.expm1(predicted - log_p)))
                 if sign == -1.0:

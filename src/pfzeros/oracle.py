@@ -3,8 +3,10 @@
 Three independent routes are provided: direct configuration sums
 (brute_force_Z), row-to-row transfer operators for cylinders
 (transfer_matrix_Z), and integer density-of-states tables that render Z as a
-polynomial in x = exp(-2K) and z = exp(-2H) (density_of_states).  All
-enumerations read configurations from one spin-row kernel.  All operations are pure.
+polynomial in x = exp(-2K) and z = exp(-2H) (density_of_states).  The
+zero-field cylinder also has a product of 2x2 momentum blocks
+(momentum_Z_grid), which the kicked protocol reads.  All enumerations read
+configurations from one spin-row kernel.  All operations are pure.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ DOS_TRANSFER_CIRC_CAP = 10
 
 _CHUNK_BITS = 20
 _TRANSFER_BLOCK = 256  # points per contraction block: ~256 * 2^n * 16 B per array
+_MOMENTUM_BLOCK = 1 << 14  # (momentum, point) entries per block: 256 KiB per array
 
 
 @dataclass(frozen=True)
@@ -179,22 +182,6 @@ def _row_weight_pairs(n_circ: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return tables
 
 
-def _inter_row(v: np.ndarray, em: np.ndarray, ep: np.ndarray, flip: bool) -> None:
-    """v <- exp(-Ky sum_i s_i s'_i) v in place, one butterfly per site; with flip,
-    v holds the states whose top spin is up, and the top site pairs each with
-    its flip, v[::-1]."""
-    for site in range(v.shape[0].bit_length() - 1):
-        va = v.reshape(-1, 2, 1 << site, v.shape[1])
-        a = va[:, 0].copy()
-        b = va[:, 1]
-        va[:, 0] = em * a + ep * b
-        va[:, 1] = ep * a + em * b
-    if flip:
-        b = ep * v[::-1]
-        np.multiply(em, v, out=v)
-        v += b
-
-
 def transfer_matrix_Z_grid(
     n_circ: int,
     l_len: int,
@@ -214,12 +201,9 @@ def transfer_matrix_Z_grid(
     points; each point's arithmetic, and so its result, does not depend on the
     block it falls in.
 
-    In a block whose H is all zero, a global spin flip leaves every row weight
-    unchanged, and the butterflies keep v[~s] equal to v[s] bit for bit (the
-    two are the same sums with their terms swapped).  Such a block stores only
-    the 2^(n-1) states whose top spin is up, so it costs O(L * n * 2^(n-1))
-    per point and half the memory; the flipped half is rebuilt only for the
-    final sum, which then adds the same values in the same order.
+    At H = 0 momentum_Z_grid gives the same Z in O(n * L) per point; this
+    contraction is the reference it is tested against, and the kernel for
+    H != 0.
     """
     if n_circ < 2:
         raise ValueError("cylinder circumference must be >= 2")
@@ -234,29 +218,27 @@ def transfer_matrix_Z_grid(
     Kx, Ky, H = (np.broadcast_to(a, (npts,)) for a in (Kx, Ky, H))
 
     ring, mag, pair_of = _row_weight_pairs(n_circ)
-    half = 1 << (n_circ - 1)
     log_acc = np.zeros(npts, dtype=np.float64)
     z = np.empty(npts, dtype=np.complex128)
     for lo in range(0, npts, _TRANSFER_BLOCK):
         blk = slice(lo, lo + _TRANSFER_BLOCK)
-        flip = not H[blk].any()  # keep states 0..half-1; v[half + s] is v[half - 1 - s]
-        states = pair_of[:half] if flip else pair_of
-        row_w = np.exp(-(Kx[blk, None] * ring[None, :] + H[blk, None] * mag[None, :])).T[states]
+        row_w = np.exp(-(Kx[blk, None] * ring[None, :] + H[blk, None] * mag[None, :])).T[pair_of]
         v = row_w.copy()
         em, ep = np.exp(-Ky[blk]), np.exp(Ky[blk])
         for _ in range(l_len - 1):
-            _inter_row(v, em, ep, flip)
+            for site in range(n_circ):  # v <- exp(-Ky sum_i s_i s'_i) v, one butterfly per site
+                va = v.reshape(-1, 2, 1 << site, v.shape[1])
+                a = va[:, 0].copy()
+                b = va[:, 1]
+                va[:, 0] = em * a + ep * b
+                va[:, 1] = ep * a + em * b
             v *= row_w
             m = np.max(np.abs(v), axis=0)
             v /= np.where(m > 0, m, 1.0)
             with np.errstate(divide="ignore"):
                 log_acc[blk] += np.log(m)
         # pairwise sum along contiguous states, in the order of a (points, states) sum
-        rows = np.empty((v.shape[1], 1 << n_circ), dtype=np.complex128)
-        rows[:, :len(v)] = v.T
-        if flip:
-            rows[:, half:] = v[::-1].T
-        z[blk] = rows.sum(axis=1)
+        z[blk] = np.ascontiguousarray(v.T).sum(axis=1)
 
     with np.errstate(divide="ignore"):
         logmag = log_acc + np.log(np.abs(z))
@@ -272,6 +254,77 @@ def transfer_matrix_Z(
         n_circ, l_len, np.array([Kx]), np.array([Ky]), np.array([H])
     )
     return LogComplex.from_log(float(logmag[0]), float(phase[0]))
+
+
+def momentum_Z_grid(
+    n_circ: int, l_len: int, Kx: np.ndarray, Ky: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Zero-field cylinder Z for arrays of (Kx, Ky), as (log_magnitude, phase).
+
+    At H = 0 the row transfer is a free-fermion operator (Kaufman, Phys. Rev.
+    76, 1232 (1949); Schultz, Mattis and Lieb, Rev. Mod. Phys. 36, 856
+    (1964)): after a Hadamard on every site the open ends are the fermion
+    vacuum, so only the even antiperiodic sector enters and Z factorises into
+    one 2x2 block per momentum pair (q, -q), q = pi (2m + 1) / n in (0, pi):
+
+        Z = 2^n (2 cosh Ky)^{(L-1) [n odd]} prod_q [V_q (D V_q)^{L-1}]_00
+
+    with D = diag(4 cosh^2 Ky, 4 sinh^2 Ky) and V_q = e^{-2 cos q Kx} [[ch +
+    cos q sh, i sin q sh], [-i sin q sh, ch - cos q sh]], ch = cosh 2Kx,
+    sh = sinh 2Kx; an odd ring's q = pi mode gives the cosh factor.  Each
+    block is contracted in the eigenbasis of V_q, where with c = cos(q/2),
+    s = sin(q/2) it reads
+
+        x^T A (M A)^{L-1} x,  x = (c, s),  A = diag(e^{4 s^2 Kx}, e^{-4 c^2 Kx}),
+        M = 2 [[cosh 2Ky + cos q, sin q], [sin q, cosh 2Ky - cos q]],
+
+    so no entry is a difference of the large terms of ch and sh.  This costs
+    O(n * L) per point, against O(L * n * 2^n) for transfer_matrix_Z_grid, and
+    every layer is rescaled, so 7x7 magnitudes never overflow.  A ring of 2
+    gives its merged double bond, as the transfer does.  Points are taken in
+    blocks of about _MOMENTUM_BLOCK / (n/2), so peak memory grows neither with
+    their number nor with n.
+    """
+    if n_circ < 2:
+        raise ValueError("cylinder circumference must be >= 2")
+    if l_len < 1:
+        raise ValueError("cylinder length must be >= 1")
+    Kx = np.asarray(Kx, dtype=np.complex128).ravel()
+    Ky = np.asarray(Ky, dtype=np.complex128).ravel()
+    npts = max(Kx.size, Ky.size)
+    Kx, Ky = (np.broadcast_to(a, (npts,)) for a in (Kx, Ky))
+
+    half_q = (np.pi * (2 * np.arange(n_circ // 2) + 1) / (2 * n_circ))[:, None]
+    c, s = np.cos(half_q), np.sin(half_q)
+    two_cos, two_sin = 2.0 * np.cos(2.0 * half_q), 2.0 * np.sin(2.0 * half_q)
+    log_acc = np.full(npts, n_circ * math.log(2.0))
+    z = np.empty(npts, dtype=np.complex128)
+    step = max(1, _MOMENTUM_BLOCK // len(half_q))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for lo in range(0, npts, step):
+            blk = slice(lo, lo + step)
+            a0, a1 = np.exp(4.0 * s * s * Kx[blk]), np.exp(-4.0 * c * c * Kx[blk])
+            u, w = c * a0, s * a1  # A x, one row per momentum
+            two_ch = 2.0 * np.cosh(2.0 * Ky[blk])  # A M, one layer of the block
+            p00, p01 = a0 * (two_ch + two_cos), a0 * two_sin
+            p10, p11 = a1 * two_sin, a1 * (two_ch - two_cos)
+            for _ in range(l_len - 1):
+                m = np.maximum(np.abs(u), np.abs(w))
+                m = np.where(m > 0, m, 1.0)
+                log_acc[blk] += np.log(m).sum(axis=0)
+                u, w = u / m, w / m
+                u, w = p00 * u + p01 * w, p10 * u + p11 * w
+            zq = c * u + s * w
+            m = np.abs(zq)
+            log_acc[blk] += np.log(m).sum(axis=0)
+            zb = np.prod(zq / np.where(m > 0, m, 1.0), axis=0)  # unit factors: no overflow
+            if n_circ % 2 and l_len > 1:  # at L = 1 the factor is 1 and Ky is never read
+                pi_mode = (l_len - 1) * np.log(2.0 * np.cosh(Ky[blk]))
+                log_acc[blk] += pi_mode.real
+                zb *= np.exp(1j * pi_mode.imag)
+            z[blk] = zb
+        logmag = log_acc + np.log(np.abs(z))
+    return logmag, np.angle(z)
 
 
 @dataclass(frozen=True)

@@ -269,6 +269,22 @@ class TestErrors:
         assert capsys.readouterr().err.startswith("error:")
         assert not (tmp_path / "b.csv").exists()
 
+    @pytest.mark.parametrize("version", [2, 0, "1", True, None],
+                             ids=["2", "0", "string", "bool", "null"])
+    @pytest.mark.parametrize("suffix, sep", [(".json", ": "), (".csv", ":")])  # CSV: compact line
+    def test_rerun_unknown_format_version_is_config_error(self, tmp_path, capsys, version, suffix,
+                                                          sep):
+        assert run(["--task", "scan", "--model", "chain:3", "--res", "4x4",
+                    "--out", tmp_path / "a"]) == 0
+        text = (tmp_path / f"a{suffix}").read_text()
+        assert f'"format_version"{sep}1' in text
+        text = text.replace(f'"format_version"{sep}1', f'"format_version"{sep}{json.dumps(version)}', 1)
+        (tmp_path / f"bad{suffix}").write_text(text)
+        capsys.readouterr()
+        assert run(["--rerun-from", tmp_path / f"bad{suffix}", "--out", tmp_path / "rerun"]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert not list(tmp_path.glob("rerun*"))
+
     def test_rerun_json_without_config_is_config_error(self, tmp_path, capsys):
         (tmp_path / "bare.json").write_text('{"format_version": 1}')
         assert run(["--rerun-from", tmp_path / "bare.json", "--out", tmp_path / "b"]) == 2

@@ -2,10 +2,12 @@ import cmath
 import math
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 
 from conftest import enumerate_correlation, enumerate_Z, random_complex, random_model
+from pfzeros import oracle
 from pfzeros.errors import CapExceededError, IllConditionedError
 from pfzeros.model import build_chain, build_cylinder, cylinder_dims, from_edge_list, with_bond_delta
 from pfzeros.oracle import (
@@ -14,9 +16,11 @@ from pfzeros.oracle import (
     brute_force_Z,
     correlation,
     density_of_states,
+    momentum_Z_grid,
     transfer_matrix_Z,
     transfer_matrix_Z_grid,
 )
+from pfzeros.zeros import GridSpec, map_roots, polynomial_roots
 
 # rings and cylinders that density_of_states sends through the transfer route
 TRANSFER_ROUTE_MODELS = [
@@ -123,9 +127,8 @@ class TestCorrelation:
 
 
 def full_state_transfer(n, l, kx, ky, h):
-    """(log|Z|, arg Z) for one block of points with all 2^n states stored: the
-    contraction as it ran before the zero-field path kept half of them, the
-    reference for that path's bits."""
+    """(log|Z|, arg Z) for one block of points with all 2^n states stored,
+    written out step by step: the reference for the transfer's bits."""
     up = (np.arange(1 << n)[None, :] >> np.arange(n)[:, None] & 1) == 0
     ring = (2 * (up == np.roll(up, -1, axis=0)).sum(axis=0) - n).astype(np.float64)
     mag = (2 * up.sum(axis=0) - n).astype(np.float64)
@@ -205,7 +208,7 @@ class TestTransferMatrix:
     def test_points_are_independent(self, dims, zero_blocks, rng):
         n, l = dims
         kx, ky, h = self._random_points(rng, 600)
-        if zero_blocks:  # blocks 0 and 2 take the zero-field path, block 1 and the reversed blocks do not
+        if zero_blocks:  # blocks 0 and 2 are field-free, block 1 is not
             h[:256] = h[512:] = 0
         logmag, phase = transfer_matrix_Z_grid(n, l, kx, ky, h)
         for i in range(kx.size):
@@ -240,18 +243,6 @@ class TestTransferMatrix:
                 assert got[0].tobytes() == want[0].tobytes(), name
                 assert got[1].tobytes() == want[1].tobytes(), name
 
-    def test_zero_field_peak_is_half_block(self, rng):
-        kx, ky, h = self._random_points(rng, 256)
-        peaks = []
-        for field in (np.zeros_like(h), h):
-            tracemalloc.start()
-            try:
-                transfer_matrix_Z_grid(7, 2, kx, ky, field)
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
-        assert peaks[0] <= 0.6 * peaks[1]
-
     def test_peak_memory_independent_of_point_count(self, rng):
         kx, ky, h = self._random_points(rng, 20_000)
         tracemalloc.start()
@@ -271,6 +262,82 @@ class TestTransferMatrix:
     def test_circumference_cap(self):
         with pytest.raises(CapExceededError):
             transfer_matrix_Z(17, 2, 0.1, 0.1)
+
+
+def _transfer_at_zero_field(n, l, kx, ky):
+    with np.errstate(all="ignore"):
+        return transfer_matrix_Z_grid(n, l, kx, ky, np.zeros(kx.size))
+
+
+def _assert_same_z(got, want, tol):
+    """Same finiteness of ln|Z| and arg Z, and within tol where both are finite."""
+    for g, w in zip(got, want):
+        assert np.array_equal(np.isfinite(g), np.isfinite(w))
+    ok = np.isfinite(got[0]) & np.isfinite(got[1])
+    assert np.abs(got[0][ok] - want[0][ok]).max(initial=0.0) <= tol
+    dphase = np.remainder(got[1][ok] - want[1][ok] + np.pi, 2 * np.pi) - np.pi
+    assert np.abs(dphase).max(initial=0.0) <= tol
+
+
+class TestMomentumProduct:
+    @pytest.mark.parametrize("l", [1, 2, 5, 7])
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_matches_transfer(self, n, l, rng):
+        kx, ky = edge_couplings(rng)
+        # random complex anisotropic couplings, with Ky = 0 exactly and Ky = 1e-9 among them
+        kx2 = rng.normal(0, 0.5, 60) + 1j * rng.normal(0, 0.5, 60)
+        ky2 = rng.normal(0, 0.5, 60) + 1j * rng.normal(0, 0.5, 60)
+        ky2[:20], ky2[20:40] = 0, 1e-9
+        kx, ky = np.concatenate([kx, kx2]), np.concatenate([ky, ky2])
+        _assert_same_z(momentum_Z_grid(n, l, kx, ky), _transfer_at_zero_field(n, l, kx, ky), 1e-12)
+
+    def test_blocks_do_not_change_bits(self, rng, monkeypatch):
+        kx, ky = edge_couplings(rng)
+        whole = momentum_Z_grid(5, 3, kx, ky)
+        monkeypatch.setattr(oracle, "_MOMENTUM_BLOCK", 7)  # a partial last block too
+        parts = momentum_Z_grid(5, 3, kx, ky)
+        for w, p in zip(whole, parts):  # a NaN's sign bit may differ between vector widths
+            assert np.array_equal(np.isnan(w), np.isnan(p))
+            assert np.where(np.isnan(w), 0, w).tobytes() == np.where(np.isnan(p), 0, p).tobytes()
+
+    @pytest.mark.parametrize("n", [16, 200])
+    def test_peak_memory_independent_of_point_count(self, n, rng):
+        kx = rng.normal(0, 0.4, 50_000) + 1j * rng.normal(0, 0.4, 50_000)
+        tracemalloc.start()
+        try:
+            momentum_Z_grid(n, 2, kx, kx)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * 50_000 * 16 + 8 * 2**20  # the outputs and z, plus a few blocks
+
+    def test_kicked_window_against_exact_counts(self, rng):
+        # the 7x7 cylinder on the kicked_noise benchmark's 100x100 window: every
+        # cell of the 3x3 neighbourhood of each in-window zero, and 200 random cells,
+        # against a 50-digit sum of the exact integer g(b); bound fixed at 1e-12
+        spec = GridSpec(-0.62, 0.63, -0.80, 0.82, 100, 100)
+        dos = density_of_states(build_cylinder(7, 7, -0.2, -0.2))
+        zeros = map_roots(polynomial_roots(dos, "fisher"), spec, "K")
+        assert len(zeros) >= 20
+        cells = set()
+        for w in zeros:
+            iy, ix = spec.nearest_cell(w)
+            cells |= {(y, x) for y in range(iy - 1, iy + 2) for x in range(ix - 1, ix + 2)
+                      if 0 <= y < spec.n_im and 0 <= x < spec.n_re}
+        cells |= {(int(y), int(x)) for y, x in rng.integers(0, 100, (200, 2))}
+        iy, ix = np.array(sorted(cells)).T
+        k = spec.mesh()[iy, ix]
+        logmag, _ = momentum_Z_grid(7, 7, k, k)
+
+        g = [mpmath.mpf(int(c)) for c in dos.energy_counts]
+        with mpmath.workdps(50):
+            want = []
+            for kk in k:
+                kk = mpmath.mpc(kk.real, kk.imag)
+                x = mpmath.exp(-2 * kk)
+                z = mpmath.exp(kk * dos.bond_count) * mpmath.polyval(g[::-1], x)
+                want.append(float(2 * mpmath.log(abs(z))))
+        assert np.abs(2 * logmag - np.array(want)).max() <= 1e-12
 
 
 class TestDensityOfStates:
