@@ -184,14 +184,6 @@ class _Builder:
         return c
 
 
-def _general_structure(model: IsingModel) -> tuple:
-    """What compile_general's circuit depends on besides its angles and
-    log_prefactor: models with equal keys compile to equal roles, gate kinds
-    and qubits, and gadgets."""
-    return (model.n_spins, tuple((b.i, b.j) for b in model.bonds),
-            tuple(f.i for f in model.fields))
-
-
 def _general_angles(model: IsingModel) -> list[float]:
     """The gate angles of compile_general(model), in gate order, without its gates."""
     weights = [b.coupling for b in model.bonds] + [f.field for f in model.fields]
@@ -205,7 +197,9 @@ def compile_general(model: IsingModel) -> Circuit:
     e^{-K^R ss}; each field term to zrot(i,H^I) plus a gadget for e^{-H^R s}.
     log_prefactor = N ln2 + sum|K^R| + sum|H^R|.  Ancillas are allocated even
     for vanishing real parts, so that resource counts follow the 3NL-N /
-    6NL-3N accounting, and the circuit's structure is _general_structure(model).
+    6NL-3N accounting, and models with the same spin count, bond pairs and
+    field sites, in order, compile to circuits that differ only in their
+    angles and log_prefactor.
     """
     b = _Builder(model.n_spins)
     for bond in model.bonds:

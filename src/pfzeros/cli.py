@@ -29,7 +29,15 @@ from .evaluators import (
     KickedProbabilityEvaluator,
     calibrate_kicked_relation,
 )
-from .model import IsingModel, build_chain, build_cylinder, cylinder_dims, from_edge_list, model_from_json
+from .model import (
+    IsingModel,
+    build_chain,
+    build_cylinder,
+    cylinder_dims,
+    from_edge_list,
+    model_from_json,
+    with_uniform_weights,
+)
 from .noise import detectability, noisy_scan
 from .oracle import brute_force_Z, correlation, density_of_states
 from .statevector import run_effective, run_full, run_streamed
@@ -240,12 +248,6 @@ def _require_cylinder(model: IsingModel, user: str) -> tuple[int, int]:
     return dims
 
 
-def _rebuild_with(model: IsingModel, coupling: complex, field_value: complex) -> IsingModel:
-    bonds = [(b.i, b.j, coupling) for b in model.bonds]
-    fields = [] if field_value == 0 else [(i, field_value) for i in range(model.n_spins)]
-    return from_edge_list(model.n_spins, bonds, fields)
-
-
 def _fixed_param(cfg: RunConfig, plane: str) -> complex:
     """The parameter a polynomial plane holds fixed: H on Fisher planes, K on Lee-Yang planes."""
     return complex(*(cfg.fixed_h if ZERO_FAMILY[plane] == "fisher" else cfg.fixed_k))
@@ -273,14 +275,14 @@ def make_evaluator(cfg: RunConfig, model: IsingModel):
     fixed = _fixed_param(cfg, plane)
     if cfg.backend == "oracle":
         return DosEvaluator(density_of_states(model), fixed, plane)
-    # circuit backends compile the general scheme per grid point
+    # circuit backends run the general scheme of the model's bonds at each point's weights
     fisher = ZERO_FAMILY[plane] == "fisher"
 
-    def factory(w: complex) -> IsingModel:
+    def weights(w: complex) -> tuple[complex, complex]:
         param = plane_param(plane, w)
-        return _rebuild_with(model, param, fixed) if fisher else _rebuild_with(model, fixed, param)
+        return (param, fixed) if fisher else (fixed, param)
 
-    return GeneralCircuitEvaluator(factory, cfg.backend)
+    return GeneralCircuitEvaluator(model, weights, cfg.backend)
 
 
 def _meta_line(cfg: RunConfig) -> str:
@@ -455,7 +457,7 @@ def cmd_verify(cfg: RunConfig) -> int:
         for _ in range(cfg.draws):
             k = complex(rng.normal(0, 0.4), rng.normal(0, 0.4))
             h = complex(rng.normal(0, 0.3), rng.normal(0, 0.3))
-            model = _rebuild_with(skeleton, k, h)
+            model = with_uniform_weights(skeleton, k, h)
             z = brute_force_Z(model)
             circ = compile_general(model)
             full = run_full(circ)

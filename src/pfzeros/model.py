@@ -151,6 +151,13 @@ def cylinder_dims(model: IsingModel) -> tuple[int, int] | None:
     return None
 
 
+def with_uniform_weights(model: IsingModel, coupling: complex, field: complex) -> IsingModel:
+    """New model with the bond pairs of model, each carrying coupling, and field
+    on every spin; an exactly zero field has no terms."""
+    bonds = [(b.i, b.j, coupling) for b in model.bonds]
+    return from_edge_list(model.n_spins, bonds, _uniform_fields(model.n_spins, field))
+
+
 def with_bond_delta(model: IsingModel, i: int, j: int, delta: complex) -> IsingModel:
     """New model with K_ij increased by delta (bond created if absent)."""
     if i == j:

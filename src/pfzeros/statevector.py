@@ -6,7 +6,8 @@ Three interchangeable backends produce the return amplitude/probability:
                    to the final overlap (exact because ancillas are single-use);
                    the register grows as gates first touch its qubits
 * run_streamed  -- physical register only; each gadget attaches, uses,
-                   projects, and discards its ancilla in turn
+                   projects, and discards its ancilla in turn; the register
+                   grows as gates first touch its qubits
 * run_effective -- the diagonal identity: applies exp(-K ss), exp(-H s)
                    directly as non-unitary elementwise factors (overlap * 2^N = Z)
 
@@ -14,6 +15,7 @@ Amplitude layout is little-endian: qubit q owns bit q of the basis index, and
 bit 0 means spin up (s = +1).  The one gate kernel acts on amp[state, point]
 with one angle per point: run_full and run_streamed simulate a batch of
 circuits that differ only in their angles, a single circuit being one point.
+Each run computes the phases of all its diagonal gates in one pass.
 """
 
 from __future__ import annotations
@@ -43,14 +45,6 @@ def _product_support(roles: tuple[QubitRole, ...]) -> tuple[tuple, float]:
     """Index of the product state's support in the (2,)*n view, and its amplitude."""
     z = [r is QubitRole.ANCILLA_Z for r in reversed(roles)]
     return tuple(0 if zq else slice(None) for zq in z), 2.0 ** (-(len(z) - sum(z)) / 2.0)
-
-
-def _product_amplitudes(roles: tuple[QubitRole, ...], n_points: int) -> np.ndarray:
-    """amp[state, point] of the product initial state at every point."""
-    sel, value = _product_support(roles)
-    amp = np.zeros((1 << len(roles), n_points), dtype=np.complex128)
-    amp.reshape((2,) * len(roles) + (n_points,))[sel] = value
-    return amp
 
 
 def _overlaps(amp: np.ndarray, roles: tuple[QubitRole, ...]) -> list[complex]:
@@ -92,32 +86,45 @@ def _check_qubits(n: int, qubits: tuple[int, ...]) -> None:
             raise ValueError(f"gate qubit {q} out of range for {n} qubits")
 
 
-def _apply(amp: np.ndarray, n: int, kind: str, qubits: tuple[int, ...], th: np.ndarray) -> None:
+def _operands(kinds, th: np.ndarray) -> list:
+    """What _apply takes for each gate of the (gates, points) angle table th:
+    the rows (e^{-i th}, e^{+i th}) of a zz/zrot gate, every such gate's from
+    one np.exp over their angles, and the angle row of an xx/xrot gate."""
+    diag = [k for k, kind in enumerate(kinds) if kind in ("zz", "zrot")]
+    phases = np.exp(np.multiply.outer((-1j, 1j), th[diag]))
+    ops = list(th)
+    for row, k in enumerate(diag):
+        ops[k] = phases[:, row]
+    return ops
+
+
+def _apply(amp: np.ndarray, n: int, kind: str, qubits: tuple[int, ...], op) -> None:
     """Apply one gate of an n-qubit circuit in place to amp[state, point], with
-    angle th[point] at each point; amp may hold only the circuit's low qubits
-    (2^m states, m <= n).  zz/zrot are diagonal phase passes; xx/xrot mix
-    amplitude pairs along the qubit axes."""
+    its _operands entry op: a point's angle th is op[point] for xx/xrot, and
+    zz/zrot take their phases e^{-i th}, e^{+i th} from op[0], op[1].  amp may
+    hold only the circuit's low qubits (2^m states, m <= n).  zz/zrot are
+    diagonal phase passes; xx/xrot mix amplitude pairs along the qubit axes."""
     _check_qubits(n, qubits)
     v = _axis_view(amp, amp.shape[0].bit_length() - 1, qubits)
     single = len(qubits) == n
     if kind == "zz":
-        pm, pp = np.exp(-1j * th), np.exp(1j * th)
+        pm, pp = op
         _rotate(v[0, 0], pm, single)
         _rotate(v[1, 1], pm, single)
         _rotate(v[0, 1], pp, single)
         _rotate(v[1, 0], pp, single)
     elif kind == "zrot":
-        _rotate(v[0], np.exp(-1j * th), single)
-        _rotate(v[1], np.exp(1j * th), single)
+        _rotate(v[0], op[0], single)
+        _rotate(v[1], op[1], single)
     elif kind == "xx":
-        c, s = np.cos(th), np.sin(th)
+        c, s = np.cos(op), np.sin(op)
         n00 = c * v[0, 0] - 1j * s * v[1, 1]
         n11 = c * v[1, 1] - 1j * s * v[0, 0]
         n01 = c * v[0, 1] - 1j * s * v[1, 0]
         n10 = c * v[1, 0] - 1j * s * v[0, 1]
         v[0, 0], v[1, 1], v[0, 1], v[1, 0] = n00, n11, n01, n10
     elif kind == "xrot":
-        c, s = np.cos(th), np.sin(th)
+        c, s = np.cos(op), np.sin(op)
         n0 = c * v[0] - 1j * s * v[1]
         n1 = c * v[1] - 1j * s * v[0]
         v[0], v[1] = n0, n1
@@ -192,13 +199,18 @@ def _evolve_full(circuit: Circuit, angles) -> np.ndarray:
     amp[0] = _product_support(roles)[1]
     amp[1:2] = 0  # the zero block of the empty register
     m = 0
-    for gate, angle in zip(circuit.gates, th):
-        # a gate short of the whole circuit keeps another qubit in the register:
-        # numpy rounds a one-element loop apart from a longer one
-        m = _grow(amp, roles, last_z, m, min(max(max(gate.qubits), len(gate.qubits)) + 1, n))
-        _apply(amp[: 1 << (m + (m <= last_z))], n, gate.kind, gate.qubits, angle)
+    for gate, op in zip(circuit.gates, _operands([g.kind for g in circuit.gates], th)):
+        m = _grow(amp, roles, last_z, m, _size(gate.qubits, n))
+        _apply(amp[: 1 << (m + (m <= last_z))], n, gate.kind, gate.qubits, op)
     _grow(amp, roles, last_z, m, n)
     return amp
+
+
+def _size(qubits: tuple[int, ...], n: int) -> int:
+    """Register size at which a gate on these qubits of an n-qubit circuit
+    runs: a gate short of the whole circuit keeps another qubit in the
+    register, because numpy rounds a one-element loop apart from a longer one."""
+    return min(max(max(qubits), len(qubits)) + 1, n)
 
 
 def _grow(amp: np.ndarray, roles: tuple[QubitRole, ...], last_z: int, m: int, size: int) -> int:
@@ -227,34 +239,52 @@ def run_streamed(circuit: Circuit, angles=None):
     gates, project onto the initial state, and contract it out.  Nothing is
     renormalized; the accumulated amplitude is the measured joint amplitude
     and matches run_full exactly.  angles batches points as in run_full.
+
+    The physical register grows as gates first touch its qubits, as in
+    run_full: amp[:2^m] holds qubits 0..m-1, the untouched ones being |+>.
+    A gadget attaches its ancilla as bit m, in amp[:2^(m+1)], over a register
+    that holds one qubit beyond each of its gates, unless a gate spans the
+    whole physical register and the ancilla; attach and projection write in
+    place, in the order of the whole-register loop, so the bits are the same.
     """
-    n_phys = circuit.n_physical
-    if any(r is not QubitRole.PHYSICAL for r in circuit.roles[:n_phys]):
+    n_phys, roles, gates = circuit.n_physical, circuit.roles, circuit.gates
+    if any(r is not QubitRole.PHYSICAL for r in roles[:n_phys]):
         raise ValueError("streamed backend expects physical qubits at indices 0..n_phys-1")
     if n_phys + 1 > MEMORY_QUBIT_CAP:
         raise CapExceededError(f"{n_phys} qubits and an ancilla exceed the cap {MEMORY_QUBIT_CAP}")
     th = _gate_angles(circuit, angles)
-    phys_roles = circuit.roles[:n_phys]
-    amp = _product_amplitudes(phys_roles, th.shape[1])
-    half = 1 << n_phys
-    ext = np.empty((2 * half, th.shape[1]), dtype=np.complex128)
+    ops = _operands([g.kind for g in gates], th)
+    phys_roles = roles[:n_phys]
+    amp = np.empty((2 << n_phys, th.shape[1]), dtype=np.complex128)
+    amp[0] = _product_support(phys_roles)[1]
+    m = 0
     span_of = {g.span[0]: g for g in circuit.gadgets}
     idx = 0
-    while idx < len(circuit.gates):
+    while idx < len(gates):
         gadget = span_of.get(idx)
         if gadget is None:
-            _apply(amp, n_phys, circuit.gates[idx].kind, circuit.gates[idx].qubits, th[idx])
+            m = _grow(amp, phys_roles, -1, m, _size(gates[idx].qubits, n_phys))
+            _apply(amp[: 1 << m], n_phys, gates[idx].kind, gates[idx].qubits, ops[idx])
             idx += 1
             continue
-        c0, c1 = _INIT_AMPLITUDES[circuit.roles[gadget.ancilla]]
-        ext[:half] = c0 * amp
-        ext[half:] = c1 * amp
-        for k in range(*gadget.span):
-            qubits = tuple(n_phys if q == gadget.ancilla else q for q in circuit.gates[k].qubits)
-            _apply(ext, n_phys + 1, circuit.gates[k].kind, qubits, th[k])
-        amp = np.conj(c0) * ext[:half] + np.conj(c1) * ext[half:]
+        anc, span = gadget.ancilla, range(*gadget.span)
+        # the m + 1 qubits with the ancilla hold one beyond each gadget gate, as _size
+        size = max(max([len(gates[k].qubits)] + [q + 1 for q in gates[k].qubits if q != anc])
+                   for k in span)
+        m = _grow(amp, phys_roles, -1, m, min(size, n_phys))
+        h = 1 << m
+        c0, c1 = _INIT_AMPLITUDES[roles[anc]]
+        np.multiply(c1, amp[:h], out=amp[h : 2 * h])
+        np.multiply(c0, amp[:h], out=amp[:h])
+        for k in span:
+            qubits = tuple(m if q == anc else q for q in gates[k].qubits)
+            _apply(amp[: 2 * h], n_phys + 1, gates[k].kind, qubits, ops[k])
+        np.multiply(np.conj(c0), amp[:h], out=amp[:h])
+        np.multiply(np.conj(c1), amp[h : 2 * h], out=amp[h : 2 * h])
+        np.add(amp[:h], amp[h : 2 * h], out=amp[:h])
         idx = gadget.span[1]
-    return _results(_overlaps(amp, phys_roles), angles)
+    _grow(amp, phys_roles, -1, m, n_phys)
+    return _results(_overlaps(amp[: 1 << n_phys], phys_roles), angles)
 
 
 def run_effective(model: IsingModel) -> OverlapResult:

@@ -10,7 +10,6 @@ from pfzeros.circuits import (
     Gate,
     QubitRole,
     _general_angles,
-    _general_structure,
     compile_general,
     compile_kicked,
     gadget_params_coupling,
@@ -20,8 +19,8 @@ from pfzeros.circuits import (
     resource_counts,
     ring_pairs,
 )
-from pfzeros.model import build_cylinder, from_edge_list
-from pfzeros.statevector import _apply
+from pfzeros.model import build_cylinder, from_edge_list, with_uniform_weights
+from pfzeros.statevector import _apply, _operands
 
 
 class TestGadgetParams:
@@ -84,8 +83,9 @@ class TestGadgetParams:
                     idx = si_bit | (sj_bit << 1)
                     amp[idx] = 1 / math.sqrt(2)  # ancilla (qubit 2) in |+>
                     amp[idx | 4] = 1 / math.sqrt(2)
-                    _apply(amp, 3, "zz", (0, 2), np.array([p.strength]))
-                    _apply(amp, 3, "zz", (1, 2), np.array([p.partner]))
+                    ops = _operands(["zz", "zz"], np.array([[p.strength], [p.partner]]))
+                    _apply(amp, 3, "zz", (0, 2), ops[0])
+                    _apply(amp, 3, "zz", (1, 2), ops[1])
                     # <+|_a projection
                     proj = (amp[idx] + amp[idx | 4]) / math.sqrt(2)
                     si, sj = 1 - 2 * si_bit, 1 - 2 * sj_bit
@@ -155,19 +155,22 @@ class TestGeneralTemplate:
             compiled = np.array([g.angle for g in compile_general(m).gates])
             assert np.array(_general_angles(m)).tobytes() == compiled.tobytes()
 
-    def test_equal_structure_keys_compile_to_equal_structures(self, rng):
-        def redraw(m):  # the same bond pairs and field sites, fresh weights (zero real parts too)
-            weight = lambda: complex(rng.choice([0.0, -0.0, rng.normal(0, 0.5)]), rng.normal(0, 0.5))
-            return from_edge_list(m.n_spins, [(b.i, b.j, weight()) for b in m.bonds],
-                                  [(f.i, weight()) for f in m.fields])
+    def test_uniform_weights_compile_to_one_structure_per_field_presence(self, rng):
+        # the circuit evaluator's template key: with one skeleton's bonds, the structure
+        # depends only on whether the field is nonzero (signed zeros and zero real parts too)
+        def weight():
+            return complex(rng.choice([0.0, -0.0, rng.normal(0, 0.5)]),
+                           rng.choice([0.0, -0.0, rng.normal(0, 0.5)]))
 
-        models = [random_model(rng, n_max=5) for _ in range(40)] + _signed_zero_models()
-        models += [redraw(m) for m in models for _ in range(2)]
-        compiled = {}
-        for m in models:
-            structure = _structure(compile_general(m))
-            assert compiled.setdefault(_general_structure(m), structure) == structure
-        assert len(compiled) < len(models) // 2
+        for skeleton in [random_model(rng, n_max=5) for _ in range(20)] + _signed_zero_models():
+            compiled = {}
+            for _ in range(6):
+                coupling, field = weight(), weight()
+                circ = compile_general(with_uniform_weights(skeleton, coupling, field))
+                structure = _structure(circ)
+                assert compiled.setdefault(field != 0, structure) == structure
+                assert circ.n_physical == skeleton.n_spins
+                assert len(circ.gadgets) == len(skeleton.bonds) + (field != 0) * skeleton.n_spins
 
 
 class TestCompileKicked:

@@ -5,10 +5,12 @@ import numpy as np
 import pytest
 
 from pfzeros import evaluators
-from pfzeros.circuits import compile_general
+from pfzeros.circuits import _general_angles, compile_general
 from pfzeros.cli import RunConfig, make_evaluator, parse_model
 from pfzeros.evaluators import KickedFieldPlaneEvaluator, KickedProbabilityEvaluator
+from pfzeros.model import with_uniform_weights
 from pfzeros.statevector import run_effective, run_full, run_streamed
+from pfzeros.zeros import ZERO_FAMILY, plane_param
 
 
 @pytest.mark.parametrize("n_circ, l_len", [(3, 2), (3, 3), (4, 3), (5, 2)])
@@ -40,7 +42,7 @@ def _pointwise_log_l(evaluator, mesh):
     values = np.full(mesh.shape, np.nan)
     for idx, w in np.ndenumerate(mesh):
         try:
-            model = evaluator.model_factory(complex(w))
+            model = with_uniform_weights(evaluator.skeleton, *evaluator.weights(complex(w)))
         except ValueError:
             continue
         if evaluator.backend == "effective":
@@ -89,6 +91,35 @@ def test_circuit_grid_matches_pointwise_bitwise(monkeypatch, backend, model, pla
     assert got.shape == mesh.shape
     assert got.tobytes() == _pointwise_log_l(evaluator, mesh).tobytes()
     assert np.count_nonzero(np.isnan(got)) == nan_cells
+
+
+@pytest.mark.parametrize("fixed", [(0.0, 0.0), (-0.3, 0.1)])
+@pytest.mark.parametrize("plane", ["K", "x", "tanhK", "z", "H"])
+def test_angle_rows_are_the_rebuilt_models_angles_bitwise(plane, fixed):
+    # the unit window holds x = 0, tanhK = +-1, z = 0 (no model) and H = 0, z = 1 (no field)
+    cfg = RunConfig(model="cylinder:3x2", task="scan", backend="streamed", plane=plane,
+                    window=UNIT_WINDOW, res=(5, 5), fixed_k=fixed, fixed_h=fixed)
+    skeleton = parse_model(cfg.model, complex(*cfg.fixed_k), complex(*cfg.fixed_h))
+    evaluator = make_evaluator(cfg, skeleton)
+    mesh = cfg.grid_spec().mesh()
+    fisher = ZERO_FAMILY[plane] == "fisher"
+    no_model = np.zeros(mesh.shape, dtype=bool)
+    field_free = 0
+    for idx, w in np.ndenumerate(mesh):
+        try:
+            param = plane_param(plane, complex(w))
+        except ValueError:
+            no_model[idx] = True
+            continue
+        coupling, field = (param, complex(*fixed)) if fisher else (complex(*fixed), param)
+        assert evaluator.weights(complex(w)) == (coupling, field)
+        want = _general_angles(with_uniform_weights(skeleton, coupling, field))
+        assert np.array(evaluator.angle_row(coupling, field)).tobytes() == np.array(want).tobytes()
+        field_free += field == 0
+    assert np.array_equal(np.isnan(evaluator.evaluate_grid(mesh)), no_model)
+    assert no_model.sum() == {"K": 0, "x": 1, "tanhK": 2, "z": 1, "H": 0}[plane]
+    if not fisher or fixed == (0.0, 0.0):
+        assert field_free  # rows without field terms are checked too
 
 
 def test_circuit_grid_peak_memory_bounded_by_block():

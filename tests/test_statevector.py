@@ -19,13 +19,15 @@ from pfzeros.errors import CapExceededError
 from pfzeros.model import build_chain, build_cylinder, from_edge_list
 from pfzeros.oracle import brute_force_Z, transfer_matrix_Z
 from pfzeros.statevector import (
+    _INIT_AMPLITUDES,
     _apply,
     _axis_view,
     _evolve_full,
     _gate_angles,
     _hadamard,
+    _operands,
     _overlaps,
-    _product_amplitudes,
+    _product_support,
     final_state,
     measurement_basis,
     run_effective,
@@ -45,7 +47,7 @@ def plus_state(n):
 
 def apply(amp, n, gate):
     """One gate on the amplitudes of one point, in place."""
-    _apply(amp, n, gate.kind, gate.qubits, np.array([gate.angle]))
+    _apply(amp, n, gate.kind, gate.qubits, _operands([gate.kind], np.array([[gate.angle]]))[0])
 
 
 def norm_squared(amp):
@@ -265,13 +267,89 @@ class TestSampling:
             sample_shots(circ, 0, seed=1)
 
 
+def frozen_rotate(x, phase, single):
+    if single:
+        re = x.real * phase.real - x.imag * phase.imag
+        x.imag = x.real * phase.imag + x.imag * phase.real
+        x.real = re
+    else:
+        x *= phase
+
+
+def frozen_apply(amp, n, kind, qubits, th):
+    """The gate kernel as it was before growing registers and phase tables,
+    kept as the reference: one gate of an n-qubit circuit on amp[state, point],
+    its phases computed per gate."""
+    m = amp.shape[0].bit_length() - 1
+    v = np.moveaxis(amp.reshape((2,) * m + (-1,)), [m - 1 - q for q in qubits],
+                    range(len(qubits)))
+    single = len(qubits) == n
+    if kind == "zz":
+        pm, pp = np.exp(-1j * th), np.exp(1j * th)
+        frozen_rotate(v[0, 0], pm, single)
+        frozen_rotate(v[1, 1], pm, single)
+        frozen_rotate(v[0, 1], pp, single)
+        frozen_rotate(v[1, 0], pp, single)
+    elif kind == "zrot":
+        frozen_rotate(v[0], np.exp(-1j * th), single)
+        frozen_rotate(v[1], np.exp(1j * th), single)
+    elif kind == "xx":
+        c, s = np.cos(th), np.sin(th)
+        n00 = c * v[0, 0] - 1j * s * v[1, 1]
+        n11 = c * v[1, 1] - 1j * s * v[0, 0]
+        n01 = c * v[0, 1] - 1j * s * v[1, 0]
+        n10 = c * v[1, 0] - 1j * s * v[0, 1]
+        v[0, 0], v[1, 1], v[0, 1], v[1, 0] = n00, n11, n01, n10
+    else:
+        c, s = np.cos(th), np.sin(th)
+        n0 = c * v[0] - 1j * s * v[1]
+        n1 = c * v[1] - 1j * s * v[0]
+        v[0], v[1] = n0, n1
+
+
+def product_amplitudes(roles, n_points):
+    """amp[state, point] of the product initial state at every point."""
+    sel, value = _product_support(roles)
+    amp = np.zeros((1 << len(roles), n_points), dtype=np.complex128)
+    amp.reshape((2,) * len(roles) + (n_points,))[sel] = value
+    return amp
+
+
 def whole_register(circuit, angles=None):
     """Reference evolution: every gate acts on all n qubits from the start."""
     th = _gate_angles(circuit, angles)
-    amp = _product_amplitudes(circuit.roles, th.shape[1])
+    amp = product_amplitudes(circuit.roles, th.shape[1])
     for gate, angle in zip(circuit.gates, th):
-        _apply(amp, circuit.n_qubits, gate.kind, gate.qubits, angle)
+        frozen_apply(amp, circuit.n_qubits, gate.kind, gate.qubits, angle)
     return amp
+
+
+def whole_register_streamed(circuit, angles=None):
+    """Reference streamed loop: every gate outside a gadget acts on the whole
+    physical register, and every gadget on it and its ancilla as the top bit."""
+    th = _gate_angles(circuit, angles)
+    n_phys = circuit.n_physical
+    phys_roles = circuit.roles[:n_phys]
+    amp = product_amplitudes(phys_roles, th.shape[1])
+    half = 1 << n_phys
+    ext = np.empty((2 * half, th.shape[1]), dtype=np.complex128)
+    span_of = {g.span[0]: g for g in circuit.gadgets}
+    idx = 0
+    while idx < len(circuit.gates):
+        gadget = span_of.get(idx)
+        if gadget is None:
+            frozen_apply(amp, n_phys, circuit.gates[idx].kind, circuit.gates[idx].qubits, th[idx])
+            idx += 1
+            continue
+        c0, c1 = _INIT_AMPLITUDES[circuit.roles[gadget.ancilla]]
+        ext[:half] = c0 * amp
+        ext[half:] = c1 * amp
+        for k in range(*gadget.span):
+            qubits = tuple(n_phys if q == gadget.ancilla else q for q in circuit.gates[k].qubits)
+            frozen_apply(ext, n_phys + 1, circuit.gates[k].kind, qubits, th[k])
+        amp = np.conj(c0) * ext[:half] + np.conj(c1) * ext[half:]
+        idx = gadget.span[1]
+    return _overlaps(amp, phys_roles)
 
 
 def perturbed_angles(rng, circuit, n_points):
@@ -292,6 +370,13 @@ def assert_grown_equals_whole(circuit, angles=None):
     # each point of a batch sums as a one-point register does
     one_point = [_overlaps(whole[:, p:p + 1].copy(), circuit.roles)[0] for p in range(whole.shape[1])]
     assert np.array(amplitudes).tobytes() == np.array(one_point).tobytes()
+
+
+def assert_streamed_equals_whole(circuit, angles=None):
+    want = np.array(whole_register_streamed(circuit, angles))
+    got = run_streamed(circuit, angles)
+    got = np.array([got.amplitude] if angles is None else [r.amplitude for r in got])
+    assert got.tobytes() == want.tobytes()
 
 
 class TestGrowingRegister:
@@ -319,8 +404,11 @@ class TestGrowingRegister:
         # x and z ancillas, xx/xrot gates on physical qubits, z ancillas left unflipped
         for _ in range(30):
             circ = random_gadget_circuit(rng, max_qubits=11)
+            angles = perturbed_angles(rng, circ, 3)
             assert_grown_equals_whole(circ)
-            assert_grown_equals_whole(circ, perturbed_angles(rng, circ, 3))
+            assert_grown_equals_whole(circ, angles)
+            assert_streamed_equals_whole(circ)
+            assert_streamed_equals_whole(circ, angles)
 
     def test_high_ancilla_touched_first(self, rng):
         # gates reach ancillas 3 and 6 before any gate touches qubits 1, 2, 4 and 5
@@ -355,7 +443,9 @@ class TestGrowingRegister:
         values = whole.view(np.float64)
         assert np.signbit(values[values == 0]).any()
         assert run_full(circ, angles)[0].amplitude == 0
+        assert run_streamed(circ, angles)[0].amplitude == 0
         assert_grown_equals_whole(circ, angles)
+        assert_streamed_equals_whole(circ, angles)
         one = Circuit(circ.roles, tuple(Gate(g.kind, g.qubits, float(t))
                                         for g, t in zip(circ.gates, angles[:, 0])),
                       0.0, circ.gadgets)
@@ -404,3 +494,38 @@ class TestGrowingRegister:
         finally:
             tracemalloc.stop()
         assert peak <= 16 * 2**16 * 4 + 16 * 2**16 + 2**19
+
+
+def _streamed_models(rng):
+    k, h = random_complex(rng), random_complex(rng)
+    return {
+        "3x3": build_cylinder(3, 3, k, random_complex(rng)),
+        "3x2-fields": build_cylinder(3, 2, k, random_complex(rng), h),
+        "chain-1": build_chain(1, H=h),  # its zrot and gadget gates span whole registers
+        "2-spin": from_edge_list(2, [(0, 1, k)]),
+        "2-spin-fields": from_edge_list(2, [(0, 1, k)], [(0, h), (1, h)]),
+        "zero-fields": from_edge_list(4, [(0, 1, k), (1, 3, -k), (2, 3, 0.5j)],
+                                      [(i, 0j) for i in range(4)]),
+        "imaginary-fields": build_chain(4, K=k, H=1j * h.imag),
+    }
+
+
+class TestGrowingStreamedRegister:
+    """run_streamed grows its physical register as gates first touch qubits;
+    its amplitudes equal the whole-register streamed loop's, byte for byte."""
+
+    @pytest.mark.parametrize("name", ["3x3", "3x2-fields", "chain-1", "2-spin", "2-spin-fields",
+                                      "zero-fields", "imaginary-fields"])
+    @pytest.mark.parametrize("n_points", [None, 1, 7, 16])
+    def test_general_circuits(self, rng, name, n_points):
+        circ = compile_general(_streamed_models(rng)[name])
+        angles = None if n_points is None else perturbed_angles(rng, circ, n_points)
+        assert_streamed_equals_whole(circ, angles)
+
+    @pytest.mark.parametrize("dims", [(2, 2), (3, 2), (2, 3), (4, 2), (3, 3)])
+    @pytest.mark.parametrize("n_points", [None, 1, 7, 16])
+    def test_kicked_circuits(self, rng, dims, n_points):
+        # the |up> ancillas of the transverse layers make +-0 blocks
+        circ = compile_kicked(*dims, random_complex(rng), random_complex(rng))
+        angles = None if n_points is None else perturbed_angles(rng, circ, n_points)
+        assert_streamed_equals_whole(circ, angles)
