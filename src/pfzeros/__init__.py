@@ -4,12 +4,10 @@ simulated quantum measurement protocols."""
 from .circuits import (
     Circuit,
     Gate,
-    GadgetParams,
     QubitRole,
     ResourceCounts,
     compile_general,
     compile_kicked,
-    gadget_params_coupling,
     kick_field_for_ky,
     kicked_log_factor,
     ky_for_kick_field,
@@ -77,7 +75,6 @@ from .zeros import (
     polynomial_coefficients,
     polynomial_roots,
     refine_newton,
-    rescale_from_x,
     roots_of_polynomial,
     scan,
     unit_circle_distance,

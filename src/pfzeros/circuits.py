@@ -21,14 +21,6 @@ from enum import Enum
 
 from .model import IsingModel
 
-# Calibrated constants of the kicked-protocol relation
-#   P_kicked = |sinh(2H)^{N(L-1)} / 2^{N(L+1)}| * |Z(K, Ky_eff)|^2
-# with exp(-2*Ky_eff) = KICKED_TANH_SIGN * tanh(H).  The sign deviates from
-# the nominal map tanh(H) = e^{-2 Ky} and is re-derived by
-# evaluators.calibrate_kicked_relation.
-KICKED_TANH_SIGN = -1.0
-
-
 class QubitRole(Enum):
     PHYSICAL = "physical"
     ANCILLA_X = "ancilla_x"  # initialized in |+>
@@ -108,31 +100,11 @@ class Circuit:
                 raise AssertionError(f"ancilla {q} is not used by any gadget")
 
 
-@dataclass(frozen=True)
-class GadgetParams:
-    """Angles (kappa, kappa') of a coupling gadget or (lambda, mu) of a field gadget."""
-
-    strength: float  # kappa or lambda, in [0, pi/4)
-    partner: float  # kappa' or mu
-    log_weight: float  # |K^R| or |H^R|, the gadget's contribution to log_prefactor
-
-
-def gadget_params_coupling(k_real: float) -> GadgetParams:
-    """kappa = arccos(e^{-2|K^R|})/2, kappa' = sgn(K^R) * kappa.
-
-    Projecting the ancilla of zz(i,a,kappa) zz(j,a,kappa') reproduces
-    e^{-K^R s_i s_j} up to the factor e^{-|K^R|} on every basis configuration.
-    """
-    k_real = float(k_real)
-    _, kappa, partner = _block_angles(complex(k_real))
-    return GadgetParams(kappa, partner, abs(k_real))
-
-
 def _block_angles(c: complex) -> tuple[float, float, float]:
     """Gate angles of the block of complex weight c, in gate order: c^I for its
     unitary gate, then kappa = arccos(e^{-2|c^R|})/2 and kappa' = sgn(c^R) kappa
-    for its gadget.  The one angle rule of every block and of
-    gadget_params_coupling."""
+    for its gadget, whose projection gives e^{-|c^R|} e^{-c^R s_i s_j}.  The one
+    angle rule of every block."""
     kappa = math.acos(math.exp(-2.0 * abs(c.real))) / 2.0
     return c.imag, kappa, math.copysign(kappa, c.real) if c.real else 0.0
 
@@ -228,7 +200,8 @@ def compile_kicked(
     transverse layers e^{-H_kick sum sx}, the real parts via gadgets.
     log_prefactor = N*L*|K^R| + N*(L-1)*|H^R| (plus probe weights); it relates
     the measured probability to P_kicked, not directly to |Z|^2 -- the
-    remaining sinh(2H)/2^{N(L+1)} factors live in the calibration record.
+    remaining sinh(2H)/2^{N(L+1)} factors are kicked_log_factor's, which
+    evaluators._kicked_log_L applies over a grid.
 
     Optional probes insert extra diagonal couplings/fields acting on a given
     classical row: coupling_probes entries are (i, k, row, deltaK) and
@@ -278,7 +251,7 @@ def kick_field_for_ky(Ky: complex) -> complex:
 
 def ky_for_kick_field(H: complex) -> complex:
     """Exact classical y-coupling realized by kick field H: Ky = ln(-tanh H)/2."""
-    t = KICKED_TANH_SIGN * cmath.tanh(complex(H))
+    t = -cmath.tanh(complex(H))
     if t == 0:
         raise ValueError("tanh(H) = 0 has no finite coupling preimage")
     return cmath.log(t) / 2.0

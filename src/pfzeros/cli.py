@@ -545,7 +545,7 @@ def cmd_noise(cfg: RunConfig) -> int:
             fh.write("re,true_L,estimate\n")
             re = spec.re_points()
             for ix in range(spec.n_re):
-                true_l = math.exp(grid.values[iy, ix]) if np.isfinite(grid.values[iy, ix]) else 0.0
+                true_l = math.exp(grid.values[iy, ix])  # 0.0 at -inf, nan at NaN
                 fh.write(f"{float(re[ix])!r},{float(true_l)!r},{float(noisy.estimates[iy, ix])!r}\n")
     write_json(cfg.out + "_report.json", cfg, {
         "task": "noise",

@@ -59,9 +59,6 @@ class KickedSetup:
             raise ValueError(f"site ({i},{row}) outside {self.n_circ}x{self.l_len} lattice")
         return row * self.n_circ + i
 
-    def kick_field(self) -> complex:
-        return kick_field_for_ky(self.ky)
-
     def base_model(self) -> IsingModel:
         return build_cylinder(self.n_circ, self.l_len, self.kx, self.ky, self.h)
 
@@ -77,7 +74,7 @@ class KickedSetup:
             self.n_circ,
             self.l_len,
             self.kx,
-            self.kick_field(),
+            kick_field_for_ky(self.ky),
             coupling_probes=tuple(coupling_probes),
             field_probes=self._field_terms() + tuple(field_probes),
         )

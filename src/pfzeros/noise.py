@@ -18,7 +18,7 @@ from .zeros import GridSpec, ScanGrid, minima_mask
 @dataclass(frozen=True)
 class NoisyGrid:
     base: ScanGrid  # true L, log-scale values
-    estimates: np.ndarray  # (n_im, n_re) measured L-hat in {0, 1/n, ..., 1}
+    estimates: np.ndarray  # (n_im, n_re) L-hat in {0, 1/n, ..., 1}, NaN where L is NaN
     n_shots: int
     seed: int
 
@@ -28,11 +28,12 @@ class NoisyGrid:
 
 
 def true_probabilities(grid: ScanGrid) -> np.ndarray:
-    """Linear probabilities from a log-scale L grid; rejects values beyond 1."""
+    """Linear probabilities from a log-scale L grid, NaN where L is undefined;
+    rejects values beyond 1."""
     with np.errstate(over="raise"):
-        p = np.exp(np.where(np.isfinite(grid.values), grid.values, -np.inf))
+        p = np.exp(grid.values)
     if np.any(p > 1.0 + 1e-9):
-        raise ValueError(f"grid contains probabilities above 1 (max {p.max():.3g})")
+        raise ValueError(f"grid contains probabilities above 1 (max {np.nanmax(p):.3g})")
     return np.clip(p, 0.0, 1.0)
 
 
@@ -101,6 +102,7 @@ def noisy_scan(true_grid: ScanGrid, n_shots: int, seed: int) -> NoisyGrid:
 
     Cell (iy, ix) draws from exactly the stream of `default_rng((seed, iy,
     ix))`, so each estimate depends only on the seed, its cell and its true L.
+    A cell whose true L is NaN draws nothing and stays NaN.
     The streams' SeedSequence words are hashed for all cells in one pass
     (_stream_words) and handed to each cell's PCG64.  Distributionally
     identical to full multinomial shot sampling of the all-initial-state
@@ -125,11 +127,10 @@ def noisy_scan(true_grid: ScanGrid, n_shots: int, seed: int) -> NoisyGrid:
 
     p = true_probabilities(true_grid)
     words = _stream_words(seed, *p.shape)
-    est = np.empty_like(p)
-    for iy in range(p.shape[0]):
-        for ix in range(p.shape[1]):
-            rng = Generator(PCG64(CellSeed(words[iy, ix])))
-            est[iy, ix] = rng.binomial(n_shots, p[iy, ix]) / n_shots
+    est = np.full_like(p, np.nan)
+    for iy, ix in zip(*np.nonzero(~np.isnan(p))):
+        rng = Generator(PCG64(CellSeed(words[iy, ix])))
+        est[iy, ix] = rng.binomial(n_shots, p[iy, ix]) / n_shots
     return NoisyGrid(true_grid, est, n_shots, seed)
 
 
@@ -155,9 +156,10 @@ def noisy_minima_mask(
     """Cells that are non-strict 8-neighborhood minima of the measured map and
     darker than count_threshold counts.
 
-    Non-strict comparison keeps plateaus of exact-zero counts detectable.
+    Non-strict comparison keeps plateaus of exact-zero counts detectable.  NaN
+    cells count as +inf, as in find_minima.
     """
-    est = noisy.estimates
+    est = np.where(np.isnan(noisy.estimates), np.inf, noisy.estimates)
     return minima_mask(est, np.less_equal) & (est <= count_threshold / noisy.n_shots)
 
 

@@ -400,14 +400,8 @@ def map_roots(roots, window: GridSpec, variable: str = "K") -> list[complex]:
     return out
 
 
-def rescale_from_x(x):
-    """Map x = e^{-2K} roots to the rescaled Fisher variable u = sinh(2K)."""
-    x = np.asarray(x, dtype=np.complex128)
-    return (1.0 - x * x) / (2.0 * x)
-
-
 def unit_circle_distance(x_roots) -> np.ndarray:
-    """| |u| - 1 | for each nonzero root in u = sinh(2K)."""
+    """| |u| - 1 | for each nonzero root x = e^{-2K}, in u = sinh(2K) = (1 - x^2) / 2x."""
     x = np.asarray(x_roots, dtype=np.complex128)
     x = x[x != 0]
-    return np.abs(np.abs(rescale_from_x(x)) - 1.0)
+    return np.abs(np.abs((1.0 - x * x) / (2.0 * x)) - 1.0)

@@ -9,10 +9,10 @@ from pfzeros.circuits import (
     Circuit,
     Gate,
     QubitRole,
+    _block_angles,
     _general_angles,
     compile_general,
     compile_kicked,
-    gadget_params_coupling,
     kick_field_for_ky,
     kicked_log_factor,
     ky_for_kick_field,
@@ -24,66 +24,70 @@ from pfzeros.statevector import _apply, _operands
 
 
 class TestGadgetParams:
+    """_block_angles(c) = (c^I, kappa, kappa'): the one angle rule of every block."""
+
     def test_coupling_zero(self):
-        p = gadget_params_coupling(0.0)
-        assert p.strength == 0 and p.partner == 0 and p.log_weight == 0
+        assert _block_angles(0j) == (0.0, 0.0, 0.0)
 
     def test_coupling_ln2_half(self):
-        p = gadget_params_coupling(math.log(2) / 2)
-        assert p.strength == pytest.approx(math.pi / 6)  # cos(2k) = 1/2
-        assert p.partner == pytest.approx(math.pi / 6)
+        theta, kappa, partner = _block_angles(complex(math.log(2) / 2, 0.3))
+        assert theta == 0.3
+        assert kappa == pytest.approx(math.pi / 6)  # cos(2k) = 1/2
+        assert partner == pytest.approx(math.pi / 6)
 
     def test_coupling_sign_rule(self):
-        p = gadget_params_coupling(-math.log(2) / 2)
-        assert p.strength == pytest.approx(math.pi / 6)
-        assert p.partner == pytest.approx(-math.pi / 6)
+        _, kappa, partner = _block_angles(complex(-math.log(2) / 2))
+        assert kappa == pytest.approx(math.pi / 6)
+        assert partner == pytest.approx(-math.pi / 6)
 
     def test_field_zero(self):
-        p = gadget_params_coupling(0.0)
-        assert p.strength == 0 and p.partner == 0
+        _, lam, mu = _block_angles(0j)
+        assert lam == 0 and mu == 0
 
     def test_field_strength(self):
-        p = gadget_params_coupling(math.log(2) / 2)
-        assert p.strength == pytest.approx(math.pi / 6)
+        _, lam, _ = _block_angles(complex(math.log(2) / 2))
+        assert lam == pytest.approx(math.pi / 6)
 
     def test_strength_range(self, rng):
         for _ in range(50):
             x = float(rng.normal(0, 2))
-            p = gadget_params_coupling(x)
-            assert 0 <= p.strength < math.pi / 4
-            assert p.log_weight == abs(x)
+            _, kappa, _ = _block_angles(complex(x))
+            assert 0 <= kappa < math.pi / 4
+            # the block's log weight |c^R| joins log_prefactor, after N ln 2
+            circ = compile_general(from_edge_list(2, [(0, 1, x)]))
+            assert circ.log_prefactor == 2 * math.log(2) + abs(x)
 
     def test_coupling_gadget_algebra(self, rng):
         # e^{|K^R|} cos(kappa s_i + kappa' s_j) == e^{-K^R s_i s_j} on all 4 configs
         for _ in range(25):
             kr = float(rng.normal(0, 1))
-            p = gadget_params_coupling(kr)
+            _, kappa, partner = _block_angles(complex(kr))
             for si in (1, -1):
                 for sj in (1, -1):
-                    got = math.exp(abs(kr)) * math.cos(p.strength * si + p.partner * sj)
+                    got = math.exp(abs(kr)) * math.cos(kappa * si + partner * sj)
                     assert got == pytest.approx(math.exp(-kr * si * sj), abs=1e-12)
 
     def test_field_gadget_algebra(self, rng):
         # e^{|H^R|} cos(lambda s + mu) == e^{-H^R s}; pins the mu sign choice
         for _ in range(25):
             hr = float(rng.normal(0, 1))
-            p = gadget_params_coupling(hr)
+            _, lam, mu = _block_angles(complex(hr))
             for s in (1, -1):
-                got = math.exp(abs(hr)) * math.cos(p.strength * s + p.partner)
+                got = math.exp(abs(hr)) * math.cos(lam * s + mu)
                 assert got == pytest.approx(math.exp(-hr * s), abs=1e-12)
 
     def test_coupling_gadget_eight_amplitude_check(self, rng):
         # full statevector check: project the ancilla of the two-gate block
         for _ in range(10):
             kr = float(rng.normal(0, 0.8))
-            p = gadget_params_coupling(kr)
+            _, kappa, partner = _block_angles(complex(kr))
             for si_bit in (0, 1):
                 for sj_bit in (0, 1):
                     amp = np.zeros(8, dtype=np.complex128)
                     idx = si_bit | (sj_bit << 1)
                     amp[idx] = 1 / math.sqrt(2)  # ancilla (qubit 2) in |+>
                     amp[idx | 4] = 1 / math.sqrt(2)
-                    ops = _operands(["zz", "zz"], np.array([[p.strength], [p.partner]]))
+                    ops = _operands(["zz", "zz"], np.array([[kappa], [partner]]))
                     _apply(amp, 3, "zz", (0, 2), ops[0])
                     _apply(amp, 3, "zz", (1, 2), ops[1])
                     # <+|_a projection
@@ -228,6 +232,14 @@ class TestKickFieldMaps:
             h = kick_field_for_ky(ky)
             back = ky_for_kick_field(h)
             assert cmath.exp(-2 * back) == pytest.approx(cmath.exp(-2 * ky), rel=1e-12)
+
+    def test_real_kick_field_takes_the_field_planes_branch(self):
+        # Ky = ln(-tanh H)/2: for real H > 0 the log of -tanh H + (-0)i sits on the
+        # -i pi/2 branch, as KickedFieldPlaneEvaluator's np.log(-np.tanh(H)) / 2
+        for h in (0.2, 0.7, 1.5):
+            ky = ky_for_kick_field(h)
+            assert ky == pytest.approx(np.log(-np.tanh(complex(h))) / 2, rel=1e-14)
+            assert ky.imag == pytest.approx(-math.pi / 2)
 
     def test_kicked_log_factor_singular(self):
         with pytest.raises(ValueError):

@@ -126,6 +126,18 @@ class TestNoise:
         assert cut[1] == "re,true_L,estimate"
         assert len(cut) == 2 + 60
 
+    def test_noise_keeps_an_undefined_cell_nan(self, tmp_path):
+        # at K = 0 the kick field is infinite and ln L is NaN: the measured map
+        # and the cut say nan there, not a zero
+        assert run(["--task", "noise", "--model", "cylinder:3x3", "--window=-1,1,-1,1",
+                    "--res", "11x11", "--shots", "200", "--cut", "im=0",
+                    "--out", tmp_path / "n"]) == 0
+        assert "0.0,0.0,nan\n" in (tmp_path / "n_true.csv").read_text()
+        noisy = (tmp_path / "n_noisy.csv").read_text().splitlines()
+        cut = (tmp_path / "n_cut.csv").read_text().splitlines()
+        assert "0.0,0.0,nan,nan" in noisy and "0.0,nan,nan" in cut
+        assert sum("nan" in line for line in cut[2:]) == 1
+
     def test_noise_rerun_bytes(self, tmp_path):
         a, b = tmp_path / "na", tmp_path / "nb"
         args = ["--task", "noise", "--model", "cylinder:3x2", "--plane", "K",

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from pfzeros import evaluators
-from pfzeros.circuits import _general_angles, compile_general
+from pfzeros.circuits import _general_angles, compile_general, compile_kicked, kick_field_for_ky
 from pfzeros.cli import RunConfig, make_evaluator, parse_model
 from pfzeros.evaluators import KickedFieldPlaneEvaluator, KickedProbabilityEvaluator
 from pfzeros.model import with_uniform_weights
@@ -25,6 +25,29 @@ def test_kicked_k_plane_matches_kick_field_plane(n_circ, l_len):
         b = field_plane.evaluate_grid(np.array([[H]]))[0, 0]
         assert np.isfinite(a)
         assert abs(a - b) < 1e-12
+
+
+def _simulated_log_l(n_circ, l_len, K, H):
+    return 2.0 * math.log(abs(run_streamed(compile_kicked(n_circ, l_len, K, H)).amplitude))
+
+
+@pytest.mark.parametrize("n_circ, l_len", [(3, 2), (3, 3), (4, 2)])
+def test_kicked_k_plane_matches_simulated_circuit(n_circ, l_len):
+    # the kernel behind scan --backend kicked, kickH and noise against the circuit
+    # it stands for, run with the kick field kick_field_for_ky(K)
+    evaluator = KickedProbabilityEvaluator(n_circ, l_len)
+    for K in (-0.3 + 0.2j, -0.15 - 0.4j, 0.1 + 0.3j, -0.45 + 1.0j, -0.2 + 0j):
+        got = evaluator.evaluate_grid(np.array([[K]]))[0, 0]
+        assert abs(got - _simulated_log_l(n_circ, l_len, K, kick_field_for_ky(K))) < 1e-10
+
+
+@pytest.mark.parametrize("n_circ, l_len", [(2, 2), (3, 2), (3, 3)])
+def test_kick_field_plane_matches_simulated_circuit(n_circ, l_len):
+    fixed_k = -0.25 + 0.1j
+    evaluator = KickedFieldPlaneEvaluator(n_circ, l_len, fixed_k)
+    for H in (0.3j, 0.4 - 0.2j, -0.35 + 0.6j, 0.7 + 0j, -0.5 - 1.1j):
+        got = evaluator.evaluate_grid(np.array([[H]]))[0, 0]
+        assert abs(got - _simulated_log_l(n_circ, l_len, fixed_k, H)) < 1e-10
 
 
 @pytest.mark.parametrize("n_circ", [1, 2])

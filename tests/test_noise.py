@@ -10,6 +10,7 @@ from conftest import Pointwise, child_env
 from pfzeros.circuits import compile_general
 from pfzeros.model import from_edge_list
 from pfzeros.noise import (
+    NoisyGrid,
     _stream_words,
     detectability,
     error_stats,
@@ -61,6 +62,31 @@ class TestNoisyScan:
         noisy = noisy_scan(l_grid(lambda w: 0.5, spec), 10000, seed=11)
         se = math.sqrt(0.5 * 0.5 / (10000 * 1000))
         assert abs(noisy.estimates.mean() - 0.5) <= 5 * se
+
+
+class TestUndefinedCells:
+    """A cell whose true L is NaN (the kicked K plane at K = 0, where the kick
+    field is infinite) is not measured: it is no zero of the measured map."""
+
+    def test_nan_cell_draws_nothing_and_others_keep_their_streams(self):
+        spec = GridSpec(-1, 1, -1, 1, 6, 7)
+        values = np.log(np.linspace(0.05, 0.95, 42).reshape(7, 6))
+        values[3, 2], values[0, 4] = np.nan, -np.inf
+        noisy = noisy_scan(ScanGrid(spec, values), 300, seed=9)
+        assert np.isnan(noisy.estimates[3, 2])
+        assert noisy.estimates[0, 4] == 0.0
+        p = np.exp(values)
+        for iy, ix in np.ndindex(values.shape):
+            if (iy, ix) != (3, 2):
+                want = np.random.default_rng((9, iy, ix)).binomial(300, p[iy, ix]) / 300
+                assert noisy.estimates[iy, ix] == want
+
+    def test_nan_cell_counts_as_plus_inf_in_the_minima_mask(self):
+        spec = GridSpec(-1, 1, -1, 1, 5, 5)
+        est = np.full((5, 5), 0.5)
+        est[2, 2], est[2, 3] = np.nan, 0.0
+        noisy = NoisyGrid(ScanGrid(spec, np.log(np.full((5, 5), 0.5))), est, 10, 0)
+        assert np.argwhere(noisy_minima_mask(noisy)).tolist() == [[2, 3]]
 
 
 class TestSeedStreams:

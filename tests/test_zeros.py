@@ -24,7 +24,6 @@ from pfzeros.zeros import (
     polynomial_coefficients,
     polynomial_roots,
     refine_newton,
-    rescale_from_x,
     roots_of_polynomial,
     scan,
     unit_circle_distance,
@@ -298,7 +297,7 @@ class TestRescaling:
         x = np.array([0.5 + 0.1j])
         k = -np.log(x) / 2
         assert plane_to_poly("tanhK", x)[0] == pytest.approx(np.tanh(k)[0])
-        assert rescale_from_x(x)[0] == pytest.approx(np.sinh(2 * k)[0])
+        assert unit_circle_distance(x)[0] == pytest.approx(abs(abs(np.sinh(2 * k)[0]) - 1))
 
     def test_unit_circle_distance_drops_origin(self):
         d = unit_circle_distance([0j, 1j])  # x = i maps to u = -i
