@@ -156,12 +156,6 @@ class _Builder:
         return c
 
 
-def _general_angles(model: IsingModel) -> list[float]:
-    """The gate angles of compile_general(model), in gate order, without its gates."""
-    weights = [b.coupling for b in model.bonds] + [f.field for f in model.fields]
-    return [a for c in weights for a in _block_angles(complex(c))]
-
-
 def compile_general(model: IsingModel) -> Circuit:
     """General-scheme circuit: |Z| = e^{log_prefactor} * |<psi0|U|psi0>|.
 

@@ -44,6 +44,7 @@ from .statevector import run_effective, run_full, run_streamed
 from .zeros import (
     ZERO_FAMILY,
     GridSpec,
+    _horner,
     discs_disjoint,
     find_minima,
     inclusion_radii,
@@ -454,6 +455,7 @@ def cmd_verify(cfg: RunConfig) -> int:
     rows = []
     worst = {"general": 0.0, "streamed": 0.0, "effective": 0.0, "kicked": 0.0}
     for name, skeleton in _verify_models():
+        dos = density_of_states(skeleton)  # Z's second route; its counts hold for all weights
         for _ in range(cfg.draws):
             k = complex(rng.normal(0, 0.4), rng.normal(0, 0.4))
             h = complex(rng.normal(0, 0.3), rng.normal(0, 0.3))
@@ -468,7 +470,9 @@ def cmd_verify(cfg: RunConfig) -> int:
             if cfg.inject_error:
                 general_err += 1e-6
             streamed_err = abs(full.amplitude - streamed.amplitude)
-            eff_err = abs(eff.amplitude * 2**model.n_spins - z) / abs(z)
+            coeffs = dos.fisher_coefficients(h)
+            z_dos = complex(np.exp(k * dos.bond_count) * _horner(coeffs, np.exp(-2 * k)))
+            eff_err = abs(eff.amplitude * 2**model.n_spins - z_dos) / abs(z_dos)
             worst["general"] = max(worst["general"], general_err)
             worst["streamed"] = max(worst["streamed"], streamed_err)
             worst["effective"] = max(worst["effective"], eff_err)

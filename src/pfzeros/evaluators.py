@@ -165,8 +165,9 @@ class GeneralCircuitEvaluator:
         self.backend = backend
 
     def angle_row(self, coupling: complex, field: complex) -> list[float]:
-        """_general_angles(with_uniform_weights(skeleton, coupling, field)),
-        without the model: one block's angles per bond, then per field term."""
+        """The gate angles of compile_general(with_uniform_weights(skeleton,
+        coupling, field)), in gate order, without the model: one block's
+        angles per bond, then per field term."""
         row = list(_block_angles(complex(coupling))) * len(self.skeleton.bonds)
         if field != 0:
             row += list(_block_angles(complex(field))) * self.skeleton.n_spins

@@ -43,25 +43,10 @@ class LogComplex:
     phase: float
 
     @classmethod
-    def from_complex(cls, z: complex) -> "LogComplex":
-        z = complex(z)
-        if z == 0:
-            return cls(float("-inf"), 0.0)
-        return cls(math.log(abs(z)), _wrap_phase(math.atan2(z.imag, z.real)))
-
-    @classmethod
     def from_log(cls, log_magnitude: float, phase: float) -> "LogComplex":
         if log_magnitude == float("-inf"):
             return cls(float("-inf"), 0.0)
         return cls(float(log_magnitude), _wrap_phase(phase))
-
-    def to_complex(self) -> complex:
-        """Plain complex value; overflows to inf beyond double range."""
-        if self.log_magnitude == float("-inf"):
-            return 0j
-        return complex(math.e ** min(self.log_magnitude, 709.0), 0) * complex(
-            math.cos(self.phase), math.sin(self.phase)
-        )
 
 
 def _wrap_phase(p: float) -> float:

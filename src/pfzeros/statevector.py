@@ -4,7 +4,7 @@ Three interchangeable backends produce the return amplitude/probability:
 
 * run_full      -- every qubit in one register, ancilla projections deferred
                    to the final overlap (exact because ancillas are single-use);
-                   the register grows as gates first touch its qubits
+                   the register grows as in run_streamed, if no ancilla is |up>
 * run_streamed  -- physical register only; each gadget attaches, uses,
                    projects, and discards its ancilla in turn; the register
                    grows as gates first touch its qubits
@@ -179,14 +179,10 @@ def run_full(circuit: Circuit, angles=None):
 def _evolve_full(circuit: Circuit, angles) -> np.ndarray:
     """amp[state, point] of the whole register after all gates.
 
-    The register grows as gates first touch its qubits.  Until a gate touches
-    qubit m, qubits m.. are in their initial state, so over qubits 0..m-1 the
-    whole register holds two blocks: the state where no untouched |up>
-    ancilla is flipped, and the +-0 amplitudes that the gates make of the
-    zeros where one is.  amp[:2^m] holds the first and, while an untouched
-    |up> ancilla remains, amp[2^m:2^(m+1)] the second.  Each gate acts on
-    both, so every amplitude sees the products of the whole-register loop in
-    the same order, and the bits, signs of zero included, are the same.
+    A circuit with an |up> ancilla starts with the whole register, whose zeros
+    the gates may turn into -0.  Any other grows it as gates first touch its
+    qubits: amp[:2^m] holds qubits 0..m-1, the untouched ones being |+>.
+    Either way the bits, signs of zero included, are the whole-register loop's.
     """
     n, roles = circuit.n_qubits, circuit.roles
     if n > MEMORY_QUBIT_CAP:
@@ -194,15 +190,13 @@ def _evolve_full(circuit: Circuit, angles) -> np.ndarray:
     th = _gate_angles(circuit, angles)
     for gate in circuit.gates:
         _check_qubits(n, gate.qubits)
-    last_z = max((q for q, r in enumerate(roles) if r is QubitRole.ANCILLA_Z), default=-1)
     amp = np.empty((1 << n, th.shape[1]), dtype=np.complex128)
     amp[0] = _product_support(roles)[1]
-    amp[1:2] = 0  # the zero block of the empty register
-    m = 0
+    m = _grow(amp, roles, 0, n if QubitRole.ANCILLA_Z in roles else 0)
     for gate, op in zip(circuit.gates, _operands([g.kind for g in circuit.gates], th)):
-        m = _grow(amp, roles, last_z, m, _size(gate.qubits, n))
-        _apply(amp[: 1 << (m + (m <= last_z))], n, gate.kind, gate.qubits, op)
-    _grow(amp, roles, last_z, m, n)
+        m = _grow(amp, roles, m, _size(gate.qubits, n))
+        _apply(amp[: 1 << m], n, gate.kind, gate.qubits, op)
+    _grow(amp, roles, m, n)
     return amp
 
 
@@ -213,17 +207,13 @@ def _size(qubits: tuple[int, ...], n: int) -> int:
     return min(max(max(qubits), len(qubits)) + 1, n)
 
 
-def _grow(amp: np.ndarray, roles: tuple[QubitRole, ...], last_z: int, m: int, size: int) -> int:
+def _grow(amp: np.ndarray, roles: tuple[QubitRole, ...], m: int, size: int) -> int:
     """Add qubits m..size-1 to the register, each as its new top bit, and
-    return the register's size.  The zero block moves up one bit and doubles
-    while |up> ancillas remain; a joining |up> ancilla takes it over."""
+    return the register's size: an |up> ancilla's flipped half is +0, any
+    other qubit's a copy of the register."""
     for q in range(m, size):
         h = 1 << q
-        if q < last_z:
-            amp[2 * h : 3 * h] = amp[h : 2 * h]
-            amp[3 * h : 4 * h] = amp[h : 2 * h]
-        if roles[q] is not QubitRole.ANCILLA_Z:
-            amp[h : 2 * h] = amp[:h]
+        amp[h : 2 * h] = 0 if roles[q] is QubitRole.ANCILLA_Z else amp[:h]
     return max(m, size)
 
 
@@ -240,8 +230,8 @@ def run_streamed(circuit: Circuit, angles=None):
     renormalized; the accumulated amplitude is the measured joint amplitude
     and matches run_full exactly.  angles batches points as in run_full.
 
-    The physical register grows as gates first touch its qubits, as in
-    run_full: amp[:2^m] holds qubits 0..m-1, the untouched ones being |+>.
+    The physical register grows as gates first touch its qubits: amp[:2^m]
+    holds qubits 0..m-1, the untouched ones being |+>.
     A gadget attaches its ancilla as bit m, in amp[:2^(m+1)], over a register
     that holds one qubit beyond each of its gates, unless a gate spans the
     whole physical register and the ancilla; attach and projection write in
@@ -263,7 +253,7 @@ def run_streamed(circuit: Circuit, angles=None):
     while idx < len(gates):
         gadget = span_of.get(idx)
         if gadget is None:
-            m = _grow(amp, phys_roles, -1, m, _size(gates[idx].qubits, n_phys))
+            m = _grow(amp, phys_roles, m, _size(gates[idx].qubits, n_phys))
             _apply(amp[: 1 << m], n_phys, gates[idx].kind, gates[idx].qubits, ops[idx])
             idx += 1
             continue
@@ -271,7 +261,7 @@ def run_streamed(circuit: Circuit, angles=None):
         # the m + 1 qubits with the ancilla hold one beyond each gadget gate, as _size
         size = max(max([len(gates[k].qubits)] + [q + 1 for q in gates[k].qubits if q != anc])
                    for k in span)
-        m = _grow(amp, phys_roles, -1, m, min(size, n_phys))
+        m = _grow(amp, phys_roles, m, min(size, n_phys))
         h = 1 << m
         c0, c1 = _INIT_AMPLITUDES[roles[anc]]
         np.multiply(c1, amp[:h], out=amp[h : 2 * h])
@@ -283,7 +273,7 @@ def run_streamed(circuit: Circuit, angles=None):
         np.multiply(np.conj(c1), amp[h : 2 * h], out=amp[h : 2 * h])
         np.add(amp[:h], amp[h : 2 * h], out=amp[:h])
         idx = gadget.span[1]
-    _grow(amp, phys_roles, -1, m, n_phys)
+    _grow(amp, phys_roles, m, n_phys)
     return _results(_overlaps(amp[: 1 << n_phys], phys_roles), angles)
 
 

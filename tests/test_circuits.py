@@ -10,7 +10,6 @@ from pfzeros.circuits import (
     Gate,
     QubitRole,
     _block_angles,
-    _general_angles,
     compile_general,
     compile_kicked,
     kick_field_for_ky,
@@ -152,13 +151,6 @@ def _structure(circ):
 
 
 class TestGeneralTemplate:
-    def test_angles_are_the_compiled_angles_bitwise(self, rng):
-        # inhomogeneous couplings and fields, signed zeros, and an exactly zero field
-        models = [random_model(rng) for _ in range(60)] + _signed_zero_models()
-        for m in models:
-            compiled = np.array([g.angle for g in compile_general(m).gates])
-            assert np.array(_general_angles(m)).tobytes() == compiled.tobytes()
-
     def test_uniform_weights_compile_to_one_structure_per_field_presence(self, rng):
         # the circuit evaluator's template key: with one skeleton's bonds, the structure
         # depends only on whether the field is nonzero (signed zeros and zero real parts too)

@@ -7,6 +7,7 @@ import threading
 import pytest
 
 from conftest import child_env
+from pfzeros import oracle
 from pfzeros.cli import DEFAULT_WINDOWS, main
 from pfzeros.model import build_cylinder
 from pfzeros.oracle import correlation
@@ -102,6 +103,21 @@ class TestVerify:
         assert doc["passed"] is True
         assert doc["kicked_calibration"]["tanh_sign"] == -1.0
         assert doc["kicked_calibration"]["two_power_matches_nominal"] is True
+        assert 0 < doc["worst_errors"]["effective"] <= 1e-12
+
+    def test_verify_effective_sees_a_faulty_configuration_sum(self, tmp_path, monkeypatch):
+        # run_effective is the configuration sum, so its column must not compare it with itself
+        weighted_sums = oracle._weighted_sums
+
+        def scaled(*args, **kwargs):
+            z, obs, scale = weighted_sums(*args, **kwargs)
+            return z * (1 + 1e-9), obs, scale
+
+        monkeypatch.setattr(oracle, "_weighted_sums", scaled)
+        out = tmp_path / "ve"
+        assert run(["--task", "verify", "--draws", "1", "--out", out]) == 3
+        doc = json.loads((tmp_path / "ve.json").read_text())
+        assert doc["worst_errors"]["effective"] > 1e-12
 
     def test_verify_injected_failure(self, tmp_path, capsys):
         out = tmp_path / "vf"

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from pfzeros import evaluators
-from pfzeros.circuits import _general_angles, compile_general, compile_kicked, kick_field_for_ky
+from pfzeros.circuits import compile_general, compile_kicked, kick_field_for_ky
 from pfzeros.cli import RunConfig, make_evaluator, parse_model
 from pfzeros.evaluators import KickedFieldPlaneEvaluator, KickedProbabilityEvaluator
 from pfzeros.model import with_uniform_weights
@@ -136,7 +136,7 @@ def test_angle_rows_are_the_rebuilt_models_angles_bitwise(plane, fixed):
             continue
         coupling, field = (param, complex(*fixed)) if fisher else (complex(*fixed), param)
         assert evaluator.weights(complex(w)) == (coupling, field)
-        want = _general_angles(with_uniform_weights(skeleton, coupling, field))
+        want = [g.angle for g in compile_general(with_uniform_weights(skeleton, coupling, field)).gates]
         assert np.array(evaluator.angle_row(coupling, field)).tobytes() == np.array(want).tobytes()
         field_free += field == 0
     assert np.array_equal(np.isnan(evaluator.evaluate_grid(mesh)), no_model)

@@ -29,17 +29,16 @@ TRANSFER_ROUTE_MODELS = [
 ]
 
 
-class TestLogComplex:
-    def test_round_trip(self, rng):
-        for _ in range(20):
-            z = random_complex(rng, 2.0)
-            lz = LogComplex.from_complex(z)
-            assert abs(lz.to_complex() - z) < 1e-12 * abs(z)
+def value(lz):
+    """The complex number a LogComplex stands for."""
+    return cmath.exp(complex(lz.log_magnitude, lz.phase))
 
+
+class TestLogComplex:
     def test_zero_element(self):
-        lz = LogComplex.from_complex(0)
+        lz = LogComplex.from_log(float("-inf"), 1.0)
         assert lz.log_magnitude == float("-inf")
-        assert lz.to_complex() == 0
+        assert value(lz) == 0
 
     def test_phase_wrapped(self):
         lz = LogComplex.from_log(0.0, 7.5)
@@ -175,7 +174,7 @@ class TestTransferMatrix:
             ring = build_chain(5, periodic=True, K=k)
             z = brute_force_Z(ring)
             lz = transfer_matrix_Z(5, 1, k, 0.3)  # Ky unused for L=1
-            assert lz.to_complex() == pytest.approx(z, rel=1e-12)
+            assert value(lz) == pytest.approx(z, rel=1e-12)
 
     @pytest.mark.parametrize("dims", [(3, 2), (3, 3), (4, 3), (4, 5), (2, 5), (5, 4)])
     def test_matches_brute_force(self, dims, rng):
@@ -185,7 +184,7 @@ class TestTransferMatrix:
             m = build_cylinder(n, l, kx, ky, h)
             z = brute_force_Z(m)
             lz = transfer_matrix_Z(n, l, kx, ky, h)
-            assert abs(lz.to_complex() - z) <= 1e-10 * abs(z)
+            assert abs(value(lz) - z) <= 1e-10 * abs(z)
 
     def test_grid_vectorization(self, rng):
         kxs = np.array([random_complex(rng) for _ in range(6)])
@@ -225,7 +224,7 @@ class TestTransferMatrix:
         for i in range(kx.size):
             z = brute_force_Z(build_cylinder(n, l, kx[i], ky[i], h[i]))
             if abs(z) > 0:
-                got = LogComplex.from_log(float(logmag[i]), float(phase[i])).to_complex()
+                got = value(LogComplex.from_log(float(logmag[i]), float(phase[i])))
                 assert abs(got - z) <= 1e-10 * abs(z)
 
     @pytest.mark.parametrize("l", [1, 2, 5])

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import random_complex, random_gadget_circuit, random_model
+from pfzeros import statevector
 from pfzeros.circuits import (
     Circuit,
     Gate,
@@ -494,6 +495,35 @@ class TestGrowingRegister:
         finally:
             tracemalloc.stop()
         assert peak <= 16 * 2**16 * 4 + 16 * 2**16 + 2**19
+
+
+class TestGrowthRule:
+    """run_full grows the register of a circuit without |up> ancillas and
+    gives a circuit with one the whole register from its first gate."""
+
+    @staticmethod
+    def _rows_per_gate(monkeypatch, circuit):
+        rows = []
+        apply = statevector._apply
+
+        def recording(amp, *args):
+            rows.append(amp.shape[0])
+            apply(amp, *args)
+
+        monkeypatch.setattr(statevector, "_apply", recording)
+        run_full(circuit)
+        assert len(rows) == len(circuit.gates)
+        return rows
+
+    def test_general_circuit_starts_small(self, monkeypatch):
+        circ = compile_general(build_cylinder(3, 2, -0.2 + 0.3j, 0.1 - 0.4j, 0.2 + 0.1j))
+        assert self._rows_per_gate(monkeypatch, circ)[0] < 1 << circ.n_qubits
+
+    def test_kicked_circuit_runs_on_the_whole_register(self, monkeypatch):
+        circ = compile_kicked(2, 2, -0.2 + 0.3j, 0.4 - 0.5j)
+        assert ANC_Z in circ.roles
+        rows = self._rows_per_gate(monkeypatch, circ)
+        assert rows == [1 << circ.n_qubits] * len(circ.gates)
 
 
 def _streamed_models(rng):
