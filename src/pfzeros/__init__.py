@@ -67,14 +67,12 @@ from .zeros import (
     GridSpec,
     MinimumCandidate,
     ScanGrid,
-    ZeroEstimate,
     discs_disjoint,
     find_minima,
     inclusion_radii,
     map_roots,
     polynomial_coefficients,
     polynomial_roots,
-    refine_newton,
     roots_of_polynomial,
     scan,
     unit_circle_distance,

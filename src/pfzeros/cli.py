@@ -15,6 +15,7 @@ import math
 import sys
 import typing
 from dataclasses import MISSING, asdict, dataclass, fields
+from itertools import repeat
 
 import numpy as np
 
@@ -301,15 +302,15 @@ def write_grid_csv(path: str, cfg: RunConfig, spec: GridSpec, values: np.ndarray
     if extra_columns:
         cols.update(extra_columns)
 
-    re = [repr(x) for x in spec.re_points().tolist()]
+    re_prefixes = [repr(x) + "," for x in spec.re_points().tolist()]
     arrays = [np.asarray(c, dtype=np.float64) for c in cols.values()]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(_meta_line(cfg) + "\n")
         fh.write("re,im," + ",".join(cols) + "\n")
-        # a grid row at a time: tolist() gives the Python floats whose repr is each cell
+        # one write per grid row: tolist() gives the Python floats whose repr is each cell
         for iy, y in enumerate(spec.im_points().tolist()):
             cells = map(",".join, zip(*(map(repr, a[iy].tolist()) for a in arrays)))
-            fh.writelines(f"{x},{y!r},{cell}\n" for x, cell in zip(re, cells))
+            fh.write("\n".join(map("".join, zip(re_prefixes, repeat(repr(y) + ","), cells))) + "\n")
 
 
 def write_json(path: str, cfg: RunConfig, payload: dict) -> None:
@@ -547,10 +548,10 @@ def cmd_noise(cfg: RunConfig) -> int:
         with open(cfg.out + "_cut.csv", "w", encoding="utf-8") as fh:
             fh.write(_meta_line(cfg) + "\n")
             fh.write("re,true_L,estimate\n")
-            re = spec.re_points()
-            for ix in range(spec.n_re):
-                true_l = math.exp(grid.values[iy, ix])  # 0.0 at -inf, nan at NaN
-                fh.write(f"{float(re[ix])!r},{float(true_l)!r},{float(noisy.estimates[iy, ix])!r}\n")
+            true_l = (repr(math.exp(v)) for v in grid.values[iy].tolist())  # 0.0 at -inf, nan at NaN
+            rows = zip(map(repr, spec.re_points().tolist()), true_l,
+                       map(repr, noisy.estimates[iy].tolist()))
+            fh.write("\n".join(map(",".join, rows)) + "\n")
     write_json(cfg.out + "_report.json", cfg, {
         "task": "noise",
         "n_shots": cfg.shots,

@@ -68,12 +68,6 @@ class DosEvaluator:
                 values += 2.0 * degree * np.log(np.abs(1.0 + mesh))
         return values
 
-    def newton_z(self):
-        """Complex reduced-Z evaluator in the scan plane for refine_newton."""
-        c = np.asarray(self.coeffs, dtype=np.complex128)
-        c = c / np.max(np.abs(c))
-        return lambda w: _horner(c, complex(plane_to_poly(self.plane, w)))
-
 
 def _kicked_log_L(n: int, L: int, Kx: np.ndarray, Ky: np.ndarray, H: np.ndarray) -> np.ndarray:
     """ln L of the kicked protocol, elementwise over flat arrays of (Kx, Ky, H).

@@ -4,8 +4,7 @@ The five scan planes and their maps to the polynomial variable, dense
 complex-plane scans with local-minima detection, and the roots of the
 density-of-states polynomial: exact roots at the origin and at +-1 split off,
 the rest found by Aberth-Ehrlich and certified by Weierstrass inclusion
-discs.  A complex Newton iteration with numerical derivatives refines a zero
-of any complex-Z evaluator.
+discs.
 """
 
 from __future__ import annotations
@@ -22,7 +21,6 @@ from .oracle import DensityOfStates
 POLY_DEGREE_CAP = 256
 GRID_POINT_CAP = 1 << 22  # a 2048x2048 grid; its complex mesh alone takes 64 MiB
 ABERTH_TOL, ABERTH_MAX_ITER = 1e-12, 200
-NEWTON_TOL, NEWTON_MAX_ITER = 1e-10, 50
 
 # Scan planes with a density-of-states polynomial: Fisher planes hold the field
 # H fixed and scan the coupling K, Lee-Yang planes hold K fixed and scan H.
@@ -156,57 +154,6 @@ def find_minima(grid: ScanGrid) -> list[MinimumCandidate]:
     ]
 
 
-@dataclass(frozen=True)
-class ZeroEstimate:
-    location: complex
-    residual: float  # ln |f| at the location (relative to the evaluator's scale)
-    method: str  # always "newton": refine_newton is the only producer
-    iterations: int = 0
-
-
-def refine_newton(evaluator_z, z0: complex, step_scale: float | None = None) -> ZeroEstimate:
-    """Complex Newton iteration on a complex-Z evaluator.
-
-    The derivative is taken by central differences with step 1e-6 * scale, so
-    any backend returning a (possibly rescaled) complex Z can be refined.
-    Multiple roots make plain Newton steps shrink geometrically; a stable step
-    ratio r triggers one accelerated step scaled by 1/(1-r), after which plain
-    iteration resumes.  Converges when |dz| < NEWTON_TOL; raises
-    ConvergenceError after NEWTON_MAX_ITER steps otherwise.
-    """
-    scale = step_scale if step_scale is not None else max(1.0, abs(z0))
-    h = 1e-6 * scale
-    z = complex(z0)
-    prev_step = None
-    ratio_streak = 0
-    last_ratio = 0.0
-    for it in range(NEWTON_MAX_ITER):
-        f = complex(evaluator_z(z))
-        if f == 0:
-            return ZeroEstimate(z, float("-inf"), "newton", it)
-        df = (complex(evaluator_z(z + h)) - complex(evaluator_z(z - h))) / (2.0 * h)
-        if abs(df) * scale < 1e-300 or not np.isfinite(abs(df)):
-            raise ConvergenceError(f"derivative underflow at {z:.6g}")
-        dz = f / df
-        if prev_step is not None and abs(prev_step) > 0:
-            r = abs(dz) / abs(prev_step)
-            if 0.4 < r < 0.97 and abs(r - last_ratio) < 0.05:
-                ratio_streak += 1
-            else:
-                ratio_streak = 0
-            last_ratio = r
-            if ratio_streak >= 3:
-                dz = dz / (1.0 - r)  # multiplicity-accelerated step
-                ratio_streak = 0
-        prev_step = dz
-        z -= dz
-        if abs(dz) < NEWTON_TOL:
-            fz = complex(evaluator_z(z))
-            residual = math.log(abs(fz)) if fz != 0 else float("-inf")
-            return ZeroEstimate(z, residual, "newton", it + 1)
-    raise ConvergenceError(f"Newton did not converge from {z0:.6g} in {NEWTON_MAX_ITER} iterations")
-
-
 def _horner(c, z):
     """sum_k c[k] z^k by Horner's rule, for a scalar or an array z."""
     p = 0
@@ -216,22 +163,47 @@ def _horner(c, z):
 
 
 def _horner_with_derivative(c: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    p = np.full_like(z, c[-1])
+    """Horner's rule at each z, keeping every partial sum: rows
+    P[k] = sum_{j >= k} c_j z^(j-k), so that P[0] = p(z); and p'(z)."""
+    P = np.empty((len(c), len(z)), dtype=np.complex128)
+    P[-1] = c[-1]
     dp = np.zeros_like(z)
-    for k in range(len(c) - 2, -1, -1):
-        dp = dp * z + p
-        p = p * z + c[k]
-    return p, dp
+    prev = P[-1]
+    for row, ck in zip(P[-2::-1], c[-2::-1]):
+        dp *= z
+        dp += prev
+        np.multiply(prev, z, out=row)
+        row += ck
+        prev = row
+    return P, dp
+
+
+def _rounding_bound(P: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """4 eps sum_k |P_k| |z|^k at each z, over the partial sums P of
+    _horner_with_derivative: over twice the first-order running error bound
+    (1 + 2 sqrt 2) u sum_k |P_k| |z|^k of complex Horner (Higham, Accuracy
+    and Stability of Numerical Algorithms, sec. 5.1).  Not finite where
+    |z|^d overflows.  One power table and one weighted column sum."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        scale = (np.abs(P) * np.vander(np.abs(z), len(P), increasing=True).T).sum(axis=0)
+    return 4 * np.finfo(np.float64).eps * scale
 
 
 def aberth_roots(coeffs: np.ndarray) -> np.ndarray:
     """All roots of sum_k coeffs[k] x^k by the Aberth-Ehrlich iteration.
 
-    Initial guesses sit on a circle sized from the coefficient magnitudes;
-    converged roots are frozen so clustered (multiple) roots cannot keep the
-    rest oscillating.  If the step criterion is never met, roots whose
-    residuals are at backward-error level are still accepted -- a multiple
-    root can only be located to eps^(1/m) no matter the iteration.
+    Initial guesses sit on a circle sized from the coefficient magnitudes.
+    A root is frozen, so clustered (multiple) roots cannot keep the rest
+    oscillating, in two ways: where it stands, without that iteration's step,
+    once its residual |p(z)| is at the rounding floor _rounding_bound and both
+    are finite, so that rounding noise decides its further steps (Bini &
+    Fiorentino, Numer. Algorithms 23, 2000); or once its step falls below
+    ABERTH_TOL (1 + |z|).  Each iteration evaluates and steps only the active
+    roots; frozen roots stay in their Aberth sums.  Two Newton steps polish
+    the frozen set.  If some root is still active after ABERTH_MAX_ITER
+    iterations, roots whose residuals are at backward-error level are still
+    accepted -- a multiple root can only be located to eps^(1/m) no matter
+    the iteration.
     """
     c = np.asarray(coeffs, dtype=np.complex128)
     c = c / np.max(np.abs(c))
@@ -244,26 +216,32 @@ def aberth_roots(coeffs: np.ndarray) -> np.ndarray:
     radius = min(max(radius, 1e-6), 1.0 + float(np.max(np.abs(c[:-1]) / abs(c[d]))))
     angles = 2.0 * np.pi * (np.arange(d) + 0.25) / d
     z = radius * np.exp(1j * angles)
-    frozen = np.zeros(d, dtype=bool)
+    active = np.arange(d)
     for _ in range(ABERTH_MAX_ITER):
-        p, dp = _horner_with_derivative(c, z)
+        za = z[active]
+        P, dp = _horner_with_derivative(c, za)
+        p, floor = P[0], _rounding_bound(P, za)
+        # |p| <= a finite floor implies a finite p: an overflowed iterate never freezes here
+        step = ~((np.abs(p) <= floor) & np.isfinite(floor))
+        active, za, p, dp = active[step], za[step], p[step], dp[step]
         dp = np.where(dp == 0, 1e-300, dp)
         w = p / dp
-        diff = z[:, None] - z[None, :]
-        np.fill_diagonal(diff, np.inf)
+        diff = za[:, None] - z[None, :]
+        diff[np.arange(len(active)), active] = np.inf
         s = np.sum(1.0 / diff, axis=1)
-        delta = np.where(frozen, 0.0, w / (1.0 - w * s))
-        z = z - delta
-        frozen |= np.abs(delta) <= ABERTH_TOL * (1.0 + np.abs(z))
-        if np.all(frozen):
+        delta = w / (1.0 - w * s)
+        za = za - delta
+        z[active] = za
+        active = active[~(np.abs(delta) <= ABERTH_TOL * (1.0 + np.abs(za)))]
+        if active.size == 0:
             for _ in range(2):  # Newton polish
-                p, dp = _horner_with_derivative(c, z)
+                P, dp = _horner_with_derivative(c, z)
                 dp = np.where(dp == 0, 1e-300, dp)
-                z = z - p / dp
+                z = z - P[0] / dp
             return z
-    p, _ = _horner_with_derivative(c, z)
+    P, _ = _horner_with_derivative(c, z)
     # sum_k |c_k| |z|^k is the backward-error scale for residual acceptance
-    if np.all(np.abs(p) <= 1e-10 * _horner(np.abs(c), np.abs(z))):
+    if np.all(np.abs(P[0]) <= 1e-10 * _horner(np.abs(c), np.abs(z))):
         return z
     raise ConvergenceError(f"Aberth iteration did not converge in {ABERTH_MAX_ITER} steps")
 
@@ -323,8 +301,8 @@ def inclusion_radii(coeffs, roots) -> np.ndarray:
     d (|p(z_i)| + Horner rounding bound) / |c_d prod_{j != i} (z_i - z_j)|.
     The union of these discs holds every root, and a disc disjoint from all
     others holds exactly one (Bini & Fiorentino, Numer. Algorithms 23, 2000).
-    The rounding bound is 8 d u sum_k |c_k| |z_i|^k, twice the usual complex
-    Horner bound.  O(d^2).
+    The rounding bound is _rounding_bound, twice the running error bound of
+    the Horner evaluation that gives p(z_i).  O(d^2).
     """
     exact, c = _split_exact_roots(coeffs)
     roots = np.asarray(roots, dtype=np.complex128)
@@ -333,13 +311,13 @@ def inclusion_radii(coeffs, roots) -> np.ndarray:
     if np.count_nonzero(approx) != d:
         raise ValueError("roots do not belong to these coefficients")
     z = roots[approx]
-    rounding = 4 * d * np.finfo(np.float64).eps * _horner(np.abs(c), np.abs(z))
+    P, _ = _horner_with_derivative(c, z)
     gaps = np.abs(z[:, None] - z[None, :])
     np.fill_diagonal(gaps, 1.0)
     radii = np.zeros(len(roots))
     with np.errstate(divide="ignore", over="ignore"):
         log_den = math.log(abs(c[-1])) + np.sum(np.log(gaps), axis=1)
-        radii[approx] = d * (np.abs(_horner(c, z)) + rounding) * np.exp(-log_den)
+        radii[approx] = d * (np.abs(P[0]) + _rounding_bound(P, z)) * np.exp(-log_den)
     return radii
 
 

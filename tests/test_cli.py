@@ -4,11 +4,12 @@ import subprocess
 import sys
 import threading
 
+import numpy as np
 import pytest
 
 from conftest import child_env
 from pfzeros import oracle
-from pfzeros.cli import DEFAULT_WINDOWS, main
+from pfzeros.cli import DEFAULT_WINDOWS, RunConfig, _meta_line, main, write_grid_csv
 from pfzeros.model import build_cylinder
 from pfzeros.oracle import correlation
 
@@ -61,6 +62,51 @@ class TestScan:
         best = min(rows, key=lambda r: float(r[2]))
         assert abs(float(best[0])) < 0.11
         assert abs(float(best[1]) - math.pi / 2) < 0.11
+
+
+class TestCsvBytes:
+    """The CSV writers write one string per grid row, with the bytes of the
+    line-at-a-time writers they replaced."""
+
+    @staticmethod
+    def line_at_a_time(path, cfg, spec, values, extra_columns):
+        # write_grid_csv as it was, frozen
+        cols = {"value": values}
+        cols.update(extra_columns)
+        re = [repr(x) for x in spec.re_points().tolist()]
+        arrays = [np.asarray(c, dtype=np.float64) for c in cols.values()]
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(_meta_line(cfg) + "\n")
+            fh.write("re,im," + ",".join(cols) + "\n")
+            for iy, y in enumerate(spec.im_points().tolist()):
+                cells = map(",".join, zip(*(map(repr, a[iy].tolist()) for a in arrays)))
+                fh.writelines(f"{x},{y!r},{cell}\n" for x, cell in zip(re, cells))
+
+    def test_grid_csv(self, tmp_path):
+        cfg = RunConfig(model="chain:3", task="scan", window=(-1e-3, 2.5, -0.7, 0.0), res=(9, 6))
+        spec = cfg.grid_spec()
+        special = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -2.5e-310, 1e308, 1e-7, 3.0,
+                   1 / 3, -12.75]
+        rng = np.random.default_rng(11)
+        columns = [rng.permutation(np.resize(special + rng.normal(size=20).tolist(), 54)).reshape(6, 9)
+                   for _ in range(3)]
+        for extra in ({}, {"estimate": columns[1], "other": columns[2]}):
+            write_grid_csv(str(tmp_path / "new.csv"), cfg, spec, columns[0], extra)
+            self.line_at_a_time(str(tmp_path / "old.csv"), cfg, spec, columns[0], extra)
+            assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+    def test_noise_cut_csv(self, tmp_path):
+        # the cut row holds the true and noisy CSVs' cells of its grid row, as the
+        # line-at-a-time writer wrote them: re, exp(ln L) and the estimate
+        assert run(["--task", "noise", "--model", "cylinder:3x3", "--window=-1,1,-1,1",
+                    "--res", "11x9", "--shots", "200", "--cut", "im=0", "--out", tmp_path / "n"]) == 0
+        true = [ln.split(",") for ln in (tmp_path / "n_true.csv").read_text().splitlines()[2:]]
+        noisy = [ln.split(",") for ln in (tmp_path / "n_noisy.csv").read_text().splitlines()[2:]]
+        row = [i for i, t in enumerate(true) if float(t[1]) == 0.0]
+        expected = "".join(f"{float(true[i][0])!r},{math.exp(float(true[i][2]))!r},"
+                           f"{float(noisy[i][3])!r}\n" for i in row)
+        cut = (tmp_path / "n_cut.csv").read_text()
+        assert len(row) == 11 and cut.split("\n", 2)[2] == expected
 
 
 class TestZeros:

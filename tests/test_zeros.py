@@ -7,6 +7,8 @@ import pytest
 from scipy.optimize import linear_sum_assignment
 
 from conftest import Pointwise
+from newton_reference import newton_z, refine_newton
+from pfzeros import zeros as zeros_module
 from pfzeros.errors import CapExceededError, ConvergenceError
 from pfzeros.evaluators import DosEvaluator
 from pfzeros.model import build_chain, build_cylinder, from_edge_list
@@ -23,7 +25,6 @@ from pfzeros.zeros import (
     plane_to_poly,
     polynomial_coefficients,
     polynomial_roots,
-    refine_newton,
     roots_of_polynomial,
     scan,
     unit_circle_distance,
@@ -212,7 +213,7 @@ def exactly_deflated_roots(dos, dps=50):
 
 
 class TestInclusionDiscs:
-    @pytest.mark.parametrize("size", [3, 4])
+    @pytest.mark.parametrize("size", [3, 4, 7])
     def test_one_exact_root_in_each_disc(self, size):
         dos = density_of_states(build_cylinder(size, size, -0.2, -0.2))
         coeffs = polynomial_coefficients(dos, "fisher", 0j)
@@ -330,10 +331,54 @@ class TestRootScanConsistency:
         window = GridSpec(-1, 1, 0, math.pi, 4, 4, "H")
         hs = map_roots(roots, window, "H")
         ev = DosEvaluator(dos, -0.3, "H")
-        nz = ev.newton_z()
+        nz = newton_z(ev)
         for h0 in hs:
             est = refine_newton(nz, h0 + 0.002 + 0.001j, step_scale=0.5)
             assert abs(est.location.real) < 1e-6
+
+
+class TestAberthStop:
+    """A root stops once its residual reaches the rounding floor: the Aberth
+    iteration does not random-walk on rounding noise up to its step tolerance
+    or its iteration cap.  Each pass is one _horner_with_derivative call."""
+
+    @staticmethod
+    def passes(monkeypatch, coeffs):
+        calls = []
+        horner = zeros_module._horner_with_derivative
+
+        def counted(c, z):
+            calls.append(1)
+            return horner(c, z)
+
+        monkeypatch.setattr(zeros_module, "_horner_with_derivative", counted)
+        roots_of_polynomial(coeffs)
+        return len(calls)
+
+    def test_7x7_fisher_polynomial(self, monkeypatch):
+        dos = density_of_states(build_cylinder(7, 7, -0.2, -0.2))
+        coeffs = polynomial_coefficients(dos, "fisher", 0j)
+        # the step rule alone takes 157 iterations and the 2 polish steps
+        assert self.passes(monkeypatch, coeffs) <= 30
+
+    @pytest.mark.parametrize("size", [5, 6, 7])
+    def test_complex_field_stops_before_the_cap(self, monkeypatch, size):
+        dos = density_of_states(build_cylinder(size, size, -0.2, -0.2))
+        coeffs = polynomial_coefficients(dos, "fisher", 0.1 + 0.2j)
+        assert self.passes(monkeypatch, coeffs) <= 40  # the step rule alone hits the 200-iteration cap
+
+    def test_near_double_roots_keep_their_accuracy(self):
+        # at H = 0.1 + 0.2i the 6x6 Fisher polynomial has pairs of roots 5e-6 and
+        # 5e-5 apart near x = -1; a floor far above the real rounding noise, such
+        # as 4 d eps sum_k |c_k| |z|^k, stops them 1.5e-5 from the 30-digit roots
+        dos = density_of_states(build_cylinder(6, 6, -0.2, -0.2))
+        coeffs = polynomial_coefficients(dos, "fisher", 0.1 + 0.2j)
+        exact, stripped = _split_exact_roots(coeffs)
+        with mpmath.workdps(30):
+            ref = mpmath.polyroots([mpmath.mpc(c.real, c.imag) for c in stripped[::-1]],
+                                   maxsteps=500, extraprec=120)
+        roots = roots_of_polynomial(coeffs)
+        assert match_multisets(roots[~np.isin(roots, exact)], np.array([complex(r) for r in ref])) < 5e-6
 
 
 class TestComplexFixedParameter:
