@@ -43,7 +43,6 @@ from .noise import (
     DetectabilityReport,
     NoisyGrid,
     detectability,
-    error_stats,
     noisy_scan,
 )
 from .oracle import (

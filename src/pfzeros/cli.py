@@ -539,10 +539,10 @@ def cmd_noise(cfg: RunConfig) -> int:
     noisy = noisy_scan(grid, cfg.shots, cfg.seed)
     report = detectability(noisy, zeros_in_window)
 
+    noisy_log = np.log(np.where(noisy.estimates > 0, noisy.estimates, np.nan))
     write_grid_csv(cfg.out + "_true.csv", cfg, spec, grid.values)
-    write_grid_csv(cfg.out + "_noisy.csv", cfg, spec, np.log(
-        np.where(noisy.estimates > 0, noisy.estimates, np.nan)
-    ), extra_columns={"estimate": noisy.estimates})
+    write_grid_csv(cfg.out + "_noisy.csv", cfg, spec, noisy_log,
+                   extra_columns={"estimate": noisy.estimates})
     if cfg.cut:
         iy = int(np.argmin(np.abs(spec.im_points() - cut_im)))
         with open(cfg.out + "_cut.csv", "w", encoding="utf-8") as fh:
@@ -566,8 +566,7 @@ def cmd_noise(cfg: RunConfig) -> int:
         "fraction_within_radius": report.fraction_within(),
         "radius_cells": report.radius_cells,
     })
-    maybe_png(cfg.out + ".png", spec, np.log(np.where(noisy.estimates > 0, noisy.estimates, np.nan)),
-              cfg.png)
+    maybe_png(cfg.out + ".png", spec, noisy_log, cfg.png)
     return 0
 
 

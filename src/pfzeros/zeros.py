@@ -281,16 +281,36 @@ def _split_exact_roots(coeffs) -> tuple[np.ndarray, np.ndarray]:
     return np.array(exact, dtype=np.complex128), c
 
 
+# real parts closer than this (relative beyond 1) count as one in the root order
+_SAME_RE = 1e-9
+
+
+def _root_order(w: np.ndarray) -> np.ndarray:
+    """Indices that sort points by real part, then by imaginary part among the
+    runs whose successive real parts lie within _SAME_RE.
+
+    The two members of a conjugate pair differ in their real parts by rounding
+    noise alone (up to 2e-11 on the 7x7 Fisher polynomial, whose other real
+    parts lie at least 2e-4 apart), so that noise never decides their order:
+    the pair is ordered by its imaginary parts.
+    """
+    by_re = np.argsort(w.real)
+    re = w.real[by_re]
+    run = np.cumsum(np.diff(re, prepend=re[:1]) > _SAME_RE * np.maximum(1.0, np.abs(re)))
+    return by_re[np.lexsort((w.imag[by_re], run))]
+
+
 def roots_of_polynomial(coeffs) -> np.ndarray:
     """Roots (with multiplicity) of a low-to-high coefficient polynomial.
 
     The exact roots at the origin and at +-1 are split off first and the rest
     found by Aberth-Ehrlich; the root count equals the polynomial degree.
-    Output is sorted by (re, im).
+    Output is sorted by (re, im), real parts within _SAME_RE counting as one
+    (_root_order).
     """
     exact, stripped = _split_exact_roots(coeffs)
     out = np.concatenate([exact, aberth_roots(stripped)])
-    return out[np.lexsort((out.imag, out.real))]
+    return out[_root_order(out)]
 
 
 def inclusion_radii(coeffs, roots) -> np.ndarray:
@@ -350,7 +370,8 @@ def polynomial_roots(
 
 
 def map_roots(roots, window: GridSpec, variable: str = "K") -> list[complex]:
-    """Scan-plane points of polynomial roots inside the window, sorted by (re, im).
+    """Scan-plane points of polynomial roots inside the window, sorted as
+    roots_of_polynomial sorts (_root_order).
 
     On K and H every logarithm preimage -ln(x)/2 counts; the branch lattice
     has imaginary period pi.  On x, z and tanhK a root's point is
@@ -374,8 +395,7 @@ def map_roots(roots, window: GridSpec, variable: str = "K") -> list[complex]:
             views = plane_to_poly(variable, roots)
         out = [complex(v) for r, v in zip(roots, views)
                if r != 0 and np.isfinite(v) and window.contains(complex(v))]
-    out.sort(key=lambda w: (w.real, w.imag))
-    return out
+    return [out[i] for i in _root_order(np.array(out, dtype=np.complex128))]
 
 
 def unit_circle_distance(x_roots) -> np.ndarray:

@@ -20,7 +20,7 @@ from pfzeros.evaluators import (
     calibrate_kicked_relation,
 )
 from pfzeros.model import build_chain, build_cylinder, from_edge_list
-from pfzeros.noise import detectability, error_stats, noisy_scan
+from pfzeros.noise import detectability, noisy_scan
 from pfzeros.oracle import brute_force_Z, correlation, density_of_states, transfer_matrix_Z
 from pfzeros.statevector import run_effective, run_full, run_streamed
 from pfzeros.zeros import (
@@ -34,6 +34,7 @@ from pfzeros.zeros import (
 
 from conftest import child_env, random_gadget_circuit, random_model
 from newton_reference import newton_z, refine_newton
+from noise_reference import error_stats
 
 
 def report(n, name, detail):

@@ -7,13 +7,16 @@ import pytest
 from scipy.stats import ks_2samp
 
 from conftest import Pointwise, child_env
+from noise_reference import error_stats
 from pfzeros.circuits import compile_general
+from pfzeros.evaluators import KickedProbabilityEvaluator
 from pfzeros.model import from_edge_list
 from pfzeros.noise import (
+    _MARGIN,
     NoisyGrid,
+    _inversion_counts,
     _stream_words,
     detectability,
-    error_stats,
     noisy_minima_mask,
     noisy_scan,
     true_probabilities,
@@ -119,6 +122,39 @@ class TestSeedStreams:
                 expected[iy, ix] = np.random.default_rng((seed, iy, ix)).binomial(n, p[iy, ix]) / n
         assert noisy_scan(grid, n, seed).estimates.tobytes() == expected.tobytes()
 
+    @staticmethod
+    def branch_probabilities(n):
+        """Probabilities on every path of numpy's binomial sampler at n shots."""
+        p = [0.0, 1.0, np.nan, 0.5, 5e-324, 1e-300, 1.0 - 2.0**-53]
+        p += list(np.logspace(-14, -3, 12))
+        p += list(np.random.default_rng(n).uniform(0.0, 1.0, 24))
+        # n p just below, at and just above 30, and the same for n (1 - p) above 0.5
+        edge = 30.0 / n
+        for _ in range(6):
+            edge = np.nextafter(edge, 0.0)
+        for _ in range(13):
+            p += [edge, 1.0 - edge, 0.9 * edge, 1.0 - 0.5 * edge]
+            edge = np.nextafter(edge, 1.0)
+        p = np.array([v for v in p if np.isnan(v) or 0.0 <= v <= 1.0])
+        return np.resize(p, (9, len(p) // 9 + 1))
+
+    @pytest.mark.parametrize("n", [1, 2, 5000, 10**6])
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_every_branch_equals_default_rng_per_cell(self, monkeypatch, seed, n):
+        # p goes in past true_probabilities: no exp(ln L) lands on n p = 30 exactly at
+        # these n.  A -inf ln L is a p = 0 cell there (TestUndefinedCells draws one).
+        p = self.branch_probabilities(n)
+        small = np.minimum(p, 1.0 - p) * n
+        if n >= 5000:  # both sides of numpy's n min(p, 1 - p) <= 30 branch, and its edge
+            assert {-1.0, 0.0, 1.0} <= set(np.sign(small[~np.isnan(small)] - 30.0).tolist())
+            assert np.any((p > 0.5) & (small <= 30.0))
+        monkeypatch.setattr("pfzeros.noise.true_probabilities", lambda grid: p)
+        grid = ScanGrid(GridSpec(-1, 1, -1, 1, p.shape[1], p.shape[0]), np.zeros(p.shape))
+        expected = np.full_like(p, np.nan)
+        for iy, ix in zip(*np.nonzero(~np.isnan(p))):
+            expected[iy, ix] = np.random.default_rng((seed, iy, ix)).binomial(n, p[iy, ix]) / n
+        assert noisy_scan(grid, n, seed).estimates.tobytes() == expected.tobytes()
+
     def test_negative_seed_rejected_before_any_draw(self, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("work started before the seed was checked")
@@ -133,6 +169,76 @@ class TestSeedStreams:
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                               env=child_env(), timeout=60)
         assert proc.returncode == 0 and proc.stdout.strip() == "False"
+
+
+def binomial_inversion(n, p, u):
+    """numpy's random_binomial_inversion (random/src/distributions/distributions.c)
+    line for line, with libm's exp and log, drawing u as its first U.
+
+    Returns (X, the smallest |U - px| it compared), or (None, ...) where the C
+    loop passes its bound and draws a second U.
+    """
+    q = 1.0 - p
+    qn = math.exp(n * math.log(q))
+    np_ = n * p
+    bound = int(min(n, np_ + 10.0 * math.sqrt(np_ * q + 1)))
+    x, px, closest = 0, qn, abs(u - qn)
+    while u > px:
+        x += 1
+        if x > bound:
+            return None, closest
+        u -= px
+        px = ((n - x + 1) * p * px) / (x * q)
+        closest = min(closest, abs(u - px))
+    return x, closest
+
+
+class TestInversionDraw:
+    """The inversion loop run over all cells at once, and the cells it hands
+    back to numpy's own draw."""
+
+    def test_recursion_matches_c_transcription(self):
+        cells = [(n, p) for n in (1, 2, 7, 60, 5000, 10**6)
+                 for p in (0.0, 1e-9, 0.3 / n, 1.0 / n, 7.5 / n, 29.0 / n, 0.5) if p <= 0.5 and n * p <= 30.0]
+        us = np.linspace(0.0, 1.0 - 2.0**-53, 97)
+        n_arr, p_arr, u_arr = (np.array(v) for v in zip(*[(n, p, u) for n, p in cells for u in us]))
+        for n in np.unique(n_arr).tolist():
+            on = n_arr == n
+            got = _inversion_counts(u_arr[on], p_arr[on], n)
+            for g, p, u in zip(got.tolist(), p_arr[on].tolist(), u_arr[on].tolist()):
+                x, closest = binomial_inversion(n, p, u)
+                assert g == (x if x is not None and closest > _MARGIN else -1), (n, p, u)
+        assert np.any(_inversion_counts(us, np.full(us.size, 0.3), 60) > 20)
+
+    def test_u_equal_to_px_goes_to_numpy(self):
+        n, p = 10, np.array([0.1, 0.1])
+        qn = np.exp(n * np.log(1.0 - p))
+        got = _inversion_counts(np.array([qn[0], 0.5]), p, n)
+        assert got[0] == -1 and got[1] == binomial_inversion(n, 0.1, 0.5)[0]
+
+    def test_u_past_the_bound_goes_to_numpy(self):
+        # a hand-made U above 1 outlasts every px up to the bound n = 2, each
+        # comparison clear of the margin: the C loop would draw again
+        x, closest = binomial_inversion(2, 0.5, 1.5)
+        assert x is None and closest > _MARGIN
+        assert _inversion_counts(np.array([1.5, 0.3]), np.array([0.5, 0.5]), 2).tolist() == [-1, 1]
+
+    def test_benchmark_grid_builds_a_generator_for_btpe_cells_only(self, monkeypatch):
+        spec = GridSpec(-0.62, 0.63, -0.80, 0.82, 100, 100, "K")
+        grid = scan(KickedProbabilityEvaluator(7, 7), spec)
+        built = []
+
+        class Counting(np.random.Generator):
+            def __init__(self, bit_generator):
+                built.append(1)
+                super().__init__(bit_generator)
+
+        monkeypatch.setattr(np.random, "Generator", Counting)
+        n = 5000
+        noisy_scan(grid, n, seed=31)
+        p = true_probabilities(grid)
+        btpe = int(np.sum(np.minimum(p, 1.0 - p) * n > 30.0))
+        assert 0 < len(built) == btpe < p.size // 20
 
 
 class TestErrorStats:

@@ -293,6 +293,45 @@ class TestMapRoots:
         assert map_roots(roots, window, "tanhK") == pytest.approx([-0.5, 1.0 / 3.0])
 
 
+
+class TestRootOrder:
+    """The two members of a conjugate pair differ in their real parts by
+    rounding noise only; that noise must not decide which comes first, or two
+    builds of the same output list a pair in either order."""
+
+    @staticmethod
+    def noisy_copies(roots, rng, count=20, rel=3e-11):
+        for _ in range(count):
+            kick = rng.standard_normal(roots.size) + 1j * rng.standard_normal(roots.size)
+            kick[np.isin(roots, (0.0, 1.0, -1.0))] = 0.0  # split off exactly, no noise
+            yield roots * (1.0 + rel * kick)
+
+    def test_roots_of_polynomial_order_survives_rounding_noise(self, rng):
+        roots = polynomial_roots(density_of_states(build_cylinder(7, 7, -0.2, -0.2)), "fisher")
+        assert np.array_equal(zeros_module._root_order(roots), np.arange(roots.size))
+        for noisy in self.noisy_copies(roots, rng):
+            assert np.array_equal(zeros_module._root_order(noisy), np.arange(roots.size))
+
+    def test_map_roots_order_survives_rounding_noise(self, rng):
+        roots = polynomial_roots(density_of_states(build_cylinder(7, 7, -0.2, -0.2)), "fisher")
+        window = GridSpec(-0.62, 0.63, -0.80, 0.82, 4, 4, "K")
+        ks = np.array(map_roots(roots, window, "K"))
+        assert np.sum(ks.imag > 0) == np.sum(ks.imag < 0) > 10
+        for noisy in self.noisy_copies(roots, rng):
+            moved = np.array(map_roots(noisy, window, "K"))
+            assert moved.size == ks.size and np.max(np.abs(moved - ks)) < 1e-9
+
+    def test_pair_straddling_a_rounding_boundary(self):
+        # real parts 2e-12 apart on both sides of a multiple of 1e-10: rounding
+        # them would still split the pair by noise, the run does not
+        a, b = 0.15 + 0.5e-10 - 1e-12, 0.15 + 0.5e-10 + 1e-12
+        for re_up, re_down in ((a, b), (b, a)):
+            w = np.array([complex(re_up, 0.4), complex(re_down, -0.4), 0.7 + 0j, -0.3 + 0.2j])
+            assert w[zeros_module._root_order(w)].tolist() == [w[3], w[1], w[0], w[2]]
+
+    def test_empty(self):
+        assert zeros_module._root_order(np.array([], dtype=np.complex128)).size == 0
+
 class TestRescaling:
     def test_variables(self):
         x = np.array([0.5 + 0.1j])
