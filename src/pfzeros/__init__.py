@@ -10,7 +10,6 @@ from .circuits import (
     compile_kicked,
     kick_field_for_ky,
     kicked_log_factor,
-    ky_for_kick_field,
     resource_counts,
 )
 from .correlations import (

@@ -243,14 +243,6 @@ def kick_field_for_ky(Ky: complex) -> complex:
     return cmath.atanh(w)
 
 
-def ky_for_kick_field(H: complex) -> complex:
-    """Exact classical y-coupling realized by kick field H: Ky = ln(-tanh H)/2."""
-    t = -cmath.tanh(complex(H))
-    if t == 0:
-        raise ValueError("tanh(H) = 0 has no finite coupling preimage")
-    return cmath.log(t) / 2.0
-
-
 def kicked_log_factor(n_circ: int, l_len: int, H_kick: complex) -> float:
     """ln of the positive constant k with P_kicked = k * |Z(K, Ky_eff)|^2.
 

@@ -39,7 +39,7 @@ from .model import (
     model_from_json,
     with_uniform_weights,
 )
-from .noise import detectability, noisy_scan
+from .noise import MAX_SHOTS, detectability, noisy_scan
 from .oracle import brute_force_Z, correlation, density_of_states
 from .statevector import run_effective, run_full, run_streamed
 from .zeros import (
@@ -514,8 +514,8 @@ def cmd_noise(cfg: RunConfig) -> int:
     if cfg.backend not in ("oracle", "kicked"):
         raise ValueError("noise task takes the oracle or kicked backend")
     _require_no_field(cfg, "noise task")
-    if cfg.shots < 1:
-        raise ValueError("--shots must be >= 1")
+    if not 1 <= cfg.shots <= MAX_SHOTS:
+        raise ValueError(f"--shots must be in [1, 2^63 - 1], got {cfg.shots}")
     if cfg.cut:
         key, _, val = cfg.cut.partition("=")
         if key != "im":

@@ -23,7 +23,7 @@ import numpy as np
 from .circuits import _block_angles, compile_general, compile_kicked, kicked_log_factor
 from .model import IsingModel, with_uniform_weights
 from .oracle import DensityOfStates, momentum_Z_grid
-from .statevector import run_effective, run_full, run_streamed
+from .statevector import _AMPLITUDE_BUDGET, run_effective, run_full, run_streamed
 from .zeros import ZERO_FAMILY, _horner, plane_to_poly, polynomial_coefficients
 
 
@@ -124,14 +124,6 @@ class KickedFieldPlaneEvaluator:
             ky = np.log(-np.tanh(H)) / 2.0
         Kx = np.full_like(H, self.fixed_k)
         return _kicked_log_L(self.n_circ, self.l_len, Kx, ky, H).reshape(mesh.shape)
-
-
-# Register amplitudes per block of points.  Blocks of 2^14 (256 KiB) leave no
-# heap growth behind; 4x larger ones scan the 3x3 cylinder's 24x24 grid about
-# 38 % faster (0.112 -> 0.069 s, the first scan of each of six alternating
-# processes on a 2-CPU x86-64 VM) but raise the peak RSS of a later 21-qubit
-# register in the same process by about 1.0 MB (62.7 -> 63.7 MB).
-_AMPLITUDE_BUDGET = 1 << 14
 
 
 def _log_probability(amplitude: complex) -> float:

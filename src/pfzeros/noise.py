@@ -25,6 +25,9 @@ import numpy as np
 
 from .zeros import GridSpec, ScanGrid, minima_mask
 
+# numpy draws and flips the counts in int64
+MAX_SHOTS = 2**63 - 1
+
 
 @dataclass(frozen=True)
 class NoisyGrid:
@@ -204,8 +207,8 @@ def noisy_scan(true_grid: ScanGrid, n_shots: int, seed: int) -> NoisyGrid:
     is imported only when such a cell exists.  Distributionally identical to
     full multinomial shot sampling of the all-initial-state event.
     """
-    if n_shots < 1:
-        raise ValueError("n_shots must be >= 1")
+    if not 1 <= n_shots <= MAX_SHOTS:
+        raise ValueError(f"n_shots must be in [1, 2^63 - 1], got {n_shots}")
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
     p = true_probabilities(true_grid)

@@ -15,11 +15,16 @@ Amplitude layout is little-endian: qubit q owns bit q of the basis index, and
 bit 0 means spin up (s = +1).  The one gate kernel acts on amp[state, point]
 with one angle per point: run_full and run_streamed simulate a batch of
 circuits that differ only in their angles, a single circuit being one point.
-Each run computes the phases of all its diagonal gates in one pass.
+Each run computes the phases of all its diagonal gates in one pass.  On a
+register of at most _AMPLITUDE_BUDGET amplitudes a diagonal gate is one
+contiguous multiply by its phase rows, gathered by the parity of its qubit
+bits of each state (_parity); a larger register takes one pass per parity
+over strided views, whose inner loops run only over the points.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -31,6 +36,17 @@ from .model import IsingModel
 from .oracle import brute_force_Z
 
 MEMORY_QUBIT_CAP = 26
+
+# Register amplitudes that fit in cache: a diagonal gate on a register this
+# small multiplies it by one gathered phase table (_apply), and the circuit
+# evaluator batches this many amplitudes' worth of points per block.  With the
+# gathered tables, 4x larger blocks scan the 3x3 cylinder's 24x24 grid about
+# 15 % faster (median 0.053 -> 0.045 s, the first scan of each of six
+# alternating processes on a 2-CPU x86-64 VM with AVX-512), and the peak RSS
+# of a later verify run did not rise (69.3 -> 69.1 MB).  But each cached
+# parity row would grow 4x, and a 16-qubit full register would then gather a
+# 1 MiB table beside itself.
+_AMPLITUDE_BUDGET = 1 << 14
 
 _SQRT_HALF = 1.0 / math.sqrt(2.0)
 
@@ -66,6 +82,20 @@ def _axis_view(amp: np.ndarray, n: int, qubits: tuple[int, ...]) -> np.ndarray:
     return amp.reshape((2,) * n + (-1,)).transpose(order)
 
 
+@functools.lru_cache(maxsize=64)
+def _parity(rows: int, qubits: tuple[int, ...]) -> np.ndarray:
+    """parity[s] = XOR of the given qubits' bits of state s, for s < rows, one
+    byte per state, read-only since every caller shares it: _apply asks only
+    for rows <= _AMPLITUDE_BUDGET, so the cache holds at most 64 * 16 KiB."""
+    states = np.arange(rows)
+    parity = np.zeros(rows, dtype=states.dtype)
+    for q in qubits:
+        parity ^= states >> q
+    parity = (parity & 1).astype(np.uint8)
+    parity.flags.writeable = False
+    return parity
+
+
 def _rotate(x: np.ndarray, phase: np.ndarray, single: bool) -> None:
     """x *= phase in place.  Where the gate spans every qubit of the circuit
     (single), each point holds one amplitude, which a one-point register
@@ -98,15 +128,24 @@ def _operands(kinds, th: np.ndarray) -> list:
     return ops
 
 
-def _apply(amp: np.ndarray, n: int, kind: str, qubits: tuple[int, ...], op) -> None:
+def _apply(amp: np.ndarray, n: int, kind: str, qubits: tuple[int, ...], op,
+           fits: bool = False) -> None:
     """Apply one gate of an n-qubit circuit in place to amp[state, point], with
     its _operands entry op: a point's angle th is op[point] for xx/xrot, and
     zz/zrot take their phases e^{-i th}, e^{+i th} from op[0], op[1].  amp may
     hold only the circuit's low qubits (2^m states, m <= n).  zz/zrot are
-    diagonal phase passes; xx/xrot mix amplitude pairs along the qubit axes."""
+    diagonal.  Where the register fits in cache (fits: the caller's whole
+    allocation holds at most _AMPLITUDE_BUDGET amplitudes) and the gate leaves
+    a qubit out, the block is multiplied once by op[parity], parity being the
+    XOR of the gate's qubit bits of each state; otherwise each parity's
+    strided view is multiplied in turn (_rotate).  Both give the same bits.
+    xx/xrot mix amplitude pairs along the qubit axes."""
     _check_qubits(n, qubits)
-    v = _axis_view(amp, amp.shape[0].bit_length() - 1, qubits)
     single = len(qubits) == n
+    if fits and not single and kind in ("zz", "zrot"):
+        amp *= op[_parity(len(amp), qubits)]
+        return
+    v = _axis_view(amp, amp.shape[0].bit_length() - 1, qubits)
     if kind == "zz":
         pm, pp = op
         _rotate(v[0, 0], pm, single)
@@ -193,9 +232,10 @@ def _evolve_full(circuit: Circuit, angles) -> np.ndarray:
     amp = np.empty((1 << n, th.shape[1]), dtype=np.complex128)
     amp[0] = _product_support(roles)[1]
     m = _grow(amp, roles, 0, n if QubitRole.ANCILLA_Z in roles else 0)
+    fits = amp.size <= _AMPLITUDE_BUDGET
     for gate, op in zip(circuit.gates, _operands([g.kind for g in circuit.gates], th)):
         m = _grow(amp, roles, m, _size(gate.qubits, n))
-        _apply(amp[: 1 << m], n, gate.kind, gate.qubits, op)
+        _apply(amp[: 1 << m], n, gate.kind, gate.qubits, op, fits)
     _grow(amp, roles, m, n)
     return amp
 
@@ -247,6 +287,7 @@ def run_streamed(circuit: Circuit, angles=None):
     phys_roles = roles[:n_phys]
     amp = np.empty((2 << n_phys, th.shape[1]), dtype=np.complex128)
     amp[0] = _product_support(phys_roles)[1]
+    fits = amp.size <= _AMPLITUDE_BUDGET
     m = 0
     span_of = {g.span[0]: g for g in circuit.gadgets}
     idx = 0
@@ -254,7 +295,7 @@ def run_streamed(circuit: Circuit, angles=None):
         gadget = span_of.get(idx)
         if gadget is None:
             m = _grow(amp, phys_roles, m, _size(gates[idx].qubits, n_phys))
-            _apply(amp[: 1 << m], n_phys, gates[idx].kind, gates[idx].qubits, ops[idx])
+            _apply(amp[: 1 << m], n_phys, gates[idx].kind, gates[idx].qubits, ops[idx], fits)
             idx += 1
             continue
         anc, span = gadget.ancilla, range(*gadget.span)
@@ -268,7 +309,7 @@ def run_streamed(circuit: Circuit, angles=None):
         np.multiply(c0, amp[:h], out=amp[:h])
         for k in span:
             qubits = tuple(m if q == anc else q for q in gates[k].qubits)
-            _apply(amp[: 2 * h], n_phys + 1, gates[k].kind, qubits, ops[k])
+            _apply(amp[: 2 * h], n_phys + 1, gates[k].kind, qubits, ops[k], fits)
         np.multiply(np.conj(c0), amp[:h], out=amp[:h])
         np.multiply(np.conj(c1), amp[h : 2 * h], out=amp[h : 2 * h])
         np.add(amp[:h], amp[h : 2 * h], out=amp[:h])

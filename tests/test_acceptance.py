@@ -11,7 +11,7 @@ import time
 
 import numpy as np
 
-from pfzeros.circuits import compile_general, compile_kicked, kicked_log_factor, ky_for_kick_field
+from pfzeros.circuits import compile_general, compile_kicked, kicked_log_factor
 from pfzeros.correlations import KickedSetup, corr_cross_row, corr_norm_ratio, corr_same_row
 from pfzeros.errors import IllConditionedError
 from pfzeros.evaluators import (
@@ -33,6 +33,7 @@ from pfzeros.zeros import (
 )
 
 from conftest import child_env, random_gadget_circuit, random_model
+from kick_reference import ky_for_kick_field
 from newton_reference import newton_z, refine_newton
 from noise_reference import error_stats
 

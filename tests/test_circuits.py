@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import random_complex, random_model
+from kick_reference import ky_for_kick_field
 from pfzeros.circuits import (
     Circuit,
     Gate,
@@ -14,7 +15,6 @@ from pfzeros.circuits import (
     compile_kicked,
     kick_field_for_ky,
     kicked_log_factor,
-    ky_for_kick_field,
     resource_counts,
     ring_pairs,
 )

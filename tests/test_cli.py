@@ -200,6 +200,14 @@ class TestNoise:
         assert "0.0,0.0,nan,nan" in noisy and "0.0,nan,nan" in cut
         assert sum("nan" in line for line in cut[2:]) == 1
 
+    def test_shots_past_int64_is_config_error(self, tmp_path, capsys):
+        # the counts are int64: 2^63 shots fails before any scan, not in the draw
+        assert run(["--task", "noise", "--model", "cylinder:3x3", "--shots", str(2**63),
+                    "--out", tmp_path / "n"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "--shots must be in [1, 2^63 - 1]" in err
+        assert not list(tmp_path.iterdir())
+
     def test_noise_rerun_bytes(self, tmp_path):
         a, b = tmp_path / "na", tmp_path / "nb"
         args = ["--task", "noise", "--model", "cylinder:3x2", "--plane", "K",

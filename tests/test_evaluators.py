@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from pfzeros import evaluators
+from pfzeros import evaluators, statevector
 from pfzeros.circuits import compile_general, compile_kicked, kick_field_for_ky
 from pfzeros.cli import RunConfig, make_evaluator, parse_model
 from pfzeros.evaluators import KickedFieldPlaneEvaluator, KickedProbabilityEvaluator
@@ -157,6 +157,38 @@ def test_circuit_grid_peak_memory_bounded_by_block():
         tracemalloc.stop()
     assert np.isfinite(values).all()
     assert peak < 4 * 2**20
+
+
+def test_streamed_scan_gates_are_whole_block_multiplies(monkeypatch):
+    # every 3x3 scan block holds 16 registers of 2^10 amplitudes, within the budget,
+    # so no zz/zrot gate takes the per-parity strided passes
+    calls = []
+    rotate = statevector._rotate
+
+    def counting(*args):
+        calls.append(args)
+        rotate(*args)
+    monkeypatch.setattr(statevector, "_rotate", counting)
+    evaluator, mesh = _circuit_scan("cylinder:3x3", "streamed", "K", None, (24, 24))
+    assert np.isfinite(evaluator.evaluate_grid(mesh)).all()
+    assert len(calls) == 0
+
+
+def test_parity_cache_stays_bounded():
+    # what the cached parity rows hold once 3x3 and 4x3 scans have run, measured as
+    # the traced memory that clearing the cache frees
+    statevector._parity.cache_clear()
+    tracemalloc.start()
+    try:
+        for model in ("cylinder:3x3", "cylinder:4x3"):
+            evaluator, mesh = _circuit_scan(model, "streamed", "K", None, (4, 4))
+            evaluator.evaluate_grid(mesh)
+        held = tracemalloc.get_traced_memory()[0]
+        statevector._parity.cache_clear()
+        held -= tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert 0 < held < 2**20
 
 
 def _count_compiles(monkeypatch):

@@ -59,6 +59,14 @@ class TestNoisyScan:
         with pytest.raises(ValueError):
             noisy_scan(grid, 10, seed=0)
 
+    def test_shot_count_range(self):
+        # the counts are int64, so 2^63 - 1 shots is the most a cell can draw
+        grid = l_grid(lambda w: 0.37, GridSpec(-1, 1, -1, 1, 2, 2))
+        for bad in (0, 2**63):
+            with pytest.raises(ValueError, match=r"n_shots must be in \[1, 2\^63 - 1\]"):
+                noisy_scan(grid, bad, seed=0)
+        assert np.isfinite(noisy_scan(grid, 2**63 - 1, seed=0).estimates).all()
+
     def test_mean_statistics(self):
         # L = 0.5, n = 10000, 1000 cells: mean within 5 standard errors
         spec = GridSpec(-1, 1, -1, 1, 40, 25)

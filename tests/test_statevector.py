@@ -4,8 +4,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_complex, random_gadget_circuit, random_model
+from kick_reference import ky_for_kick_field
 from pfzeros import statevector
 from pfzeros.circuits import (
     Circuit,
@@ -14,7 +17,6 @@ from pfzeros.circuits import (
     compile_general,
     compile_kicked,
     kicked_log_factor,
-    ky_for_kick_field,
 )
 from pfzeros.errors import CapExceededError
 from pfzeros.model import build_chain, build_cylinder, from_edge_list
@@ -378,6 +380,18 @@ def assert_streamed_equals_whole(circuit, angles=None):
     got = run_streamed(circuit, angles)
     got = np.array([got.amplitude] if angles is None else [r.amplitude for r in got])
     assert got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(seed=st.integers(0, 2**64 - 1), n_points=st.integers(1, 20))
+def test_backends_equal_frozen_references_property(seed, n_points):
+    # full registers of up to 11 qubits straddle the amplitude budget at these batch
+    # sizes, so both the gathered phase tables and the per-parity passes are checked
+    rng = np.random.default_rng(seed)
+    circ = random_gadget_circuit(rng, max_qubits=11)
+    angles = perturbed_angles(rng, circ, n_points)
+    assert_grown_equals_whole(circ, angles)
+    assert_streamed_equals_whole(circ, angles)
 
 
 class TestGrowingRegister:
