@@ -336,7 +336,8 @@ def inclusion_radii(coeffs, roots) -> np.ndarray:
     np.fill_diagonal(gaps, 1.0)
     radii = np.zeros(len(roots))
     with np.errstate(divide="ignore", over="ignore"):
-        log_den = math.log(abs(c[-1])) + np.sum(np.log(gaps), axis=1)
+        # sorted terms: a root's radius does not depend on the order of the list
+        log_den = math.log(abs(c[-1])) + np.sum(np.sort(np.log(gaps), axis=1), axis=1)
         radii[approx] = d * (np.abs(P[0]) + _rounding_bound(P, z)) * np.exp(-log_den)
     return radii
 

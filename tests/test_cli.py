@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import child_env
-from pfzeros import oracle
+from pfzeros import cli, oracle
 from pfzeros.cli import DEFAULT_WINDOWS, RunConfig, _meta_line, main, write_grid_csv
 from pfzeros.model import build_cylinder
 from pfzeros.oracle import correlation
@@ -131,6 +131,24 @@ class TestZeros:
         assert doc["rescale_variable"] == "sinh_2k"
         assert doc["origin_root_multiplicity"] == 3
 
+    def test_root_order_leaves_radii_and_mean_distance_unchanged(self, tmp_path, monkeypatch):
+        # the same roots listed in another order give the same bits for each root
+        argv = ["--task", "zeros", "--model", "cylinder:5x5", "--plane", "K",
+                "--window=-0.62,0.63,-1.45,1.47", "--res", "20x20"]
+        assert run([*argv, "--out", tmp_path / "a"]) == 0
+        roots_of_polynomial = cli.roots_of_polynomial
+        monkeypatch.setattr(cli, "roots_of_polynomial",
+                            lambda coeffs: np.roll(roots_of_polynomial(coeffs)[::-1], 7))
+        assert run([*argv, "--out", tmp_path / "b"]) == 0
+        a, b = (json.loads((tmp_path / f"{x}.json").read_text()) for x in "ab")
+        assert a["polynomial_roots"] != b["polynomial_roots"]
+
+        def by_root(doc):
+            return sorted(zip(map(tuple, doc["polynomial_roots"]), doc["inclusion_radius"]))
+
+        assert by_root(a) == by_root(b)
+        assert a["mean_unit_circle_distance"] == b["mean_unit_circle_distance"]
+
     def test_zeros_empty_window(self, tmp_path):
         out = tmp_path / "ze"
         assert run(["--task", "zeros", "--model", "cylinder:3x2", "--plane", "K",
@@ -164,6 +182,14 @@ class TestVerify:
         assert run(["--task", "verify", "--draws", "1", "--out", out]) == 3
         doc = json.loads((tmp_path / "ve.json").read_text())
         assert doc["worst_errors"]["effective"] > 1e-12
+
+    def test_verify_effective_error_is_relative_to_the_weight_sum(self, tmp_path):
+        # this seed's 3x2-cylinder draw lies near a zero, where |Z| is about 1858 times
+        # below sum_s |w(s)| = Z(Re K, Re H): relative to |Z| its error read 1.04e-12
+        out = tmp_path / "vw"
+        assert run(["--task", "verify", "--seed", "806082461", "--draws", "1", "--out", out]) == 0
+        doc = json.loads((tmp_path / "vw.json").read_text())
+        assert 0 < doc["worst_errors"]["effective"] < 1e-14
 
     def test_verify_injected_failure(self, tmp_path, capsys):
         out = tmp_path / "vf"

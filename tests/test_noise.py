@@ -1,20 +1,28 @@
+import itertools
 import math
 import subprocess
 import sys
+from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from numpy.random.bit_generator import ISeedSequence
 from scipy.stats import ks_2samp
 
 from conftest import Pointwise, child_env
-from noise_reference import error_stats
+from noise_reference import binomial_btpe, binomial_inversion, btpe_hat, error_stats
 from pfzeros.circuits import compile_general
 from pfzeros.evaluators import KickedProbabilityEvaluator
 from pfzeros.model import from_edge_list
 from pfzeros.noise import (
     _MARGIN,
     NoisyGrid,
+    _btpe_counts,
     _inversion_counts,
+    _next_double,
+    _seeded,
     _stream_words,
     detectability,
     noisy_minima_mask,
@@ -179,26 +187,38 @@ class TestSeedStreams:
         assert proc.returncode == 0 and proc.stdout.strip() == "False"
 
 
-def binomial_inversion(n, p, u):
-    """numpy's random_binomial_inversion (random/src/distributions/distributions.c)
-    line for line, with libm's exp and log, drawing u as its first U.
+class CellSeed(ISeedSequence):
+    """A cell's SeedSequence words, as PCG64 reads them."""
 
-    Returns (X, the smallest |U - px| it compared), or (None, ...) where the C
-    loop passes its bound and draws a second U.
-    """
-    q = 1.0 - p
-    qn = math.exp(n * math.log(q))
-    np_ = n * p
-    bound = int(min(n, np_ + 10.0 * math.sqrt(np_ * q + 1)))
-    x, px, closest = 0, qn, abs(u - qn)
-    while u > px:
-        x += 1
-        if x > bound:
-            return None, closest
-        u -= px
-        px = ((n - x + 1) * p * px) / (x * q)
-        closest = min(closest, abs(u - px))
-    return x, closest
+    def __init__(self, words):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words
+
+
+def stream(words):
+    """The doubles of numpy's PCG64 seeded with these words, one after another."""
+    rng = np.random.Generator(np.random.PCG64(CellSeed(words)))
+    while True:
+        yield rng.random()
+
+
+def scripted(streams):
+    """A draw(cells) that gives each listed cell the next double of its own list,
+    then 0.5s: the BTPE kernel may draw past a cell's decisive attempt."""
+    its = [itertools.chain(s, itertools.repeat(0.5)) for s in streams]
+    return lambda cells: np.array([next(its[c]) for c in cells.tolist()])
+
+
+def agrees(got, reference):
+    """A kernel count is -1 where the C transcription met a gap within the
+    margin and equals the transcription's count elsewhere (a gap on the margin
+    itself may go either way: numpy's log and libm's differ in the last bit)."""
+    count, closest = reference
+    if closest < _MARGIN * (1 - 1e-6):
+        return got == -1
+    return got == count or (got == -1 and closest <= _MARGIN * (1 + 1e-6))
 
 
 class TestInversionDraw:
@@ -209,29 +229,45 @@ class TestInversionDraw:
         cells = [(n, p) for n in (1, 2, 7, 60, 5000, 10**6)
                  for p in (0.0, 1e-9, 0.3 / n, 1.0 / n, 7.5 / n, 29.0 / n, 0.5) if p <= 0.5 and n * p <= 30.0]
         us = np.linspace(0.0, 1.0 - 2.0**-53, 97)
+        then = [0.3, 0.6, 0.1, 0.9, 0.45]  # the doubles a cell draws after its first
         n_arr, p_arr, u_arr = (np.array(v) for v in zip(*[(n, p, u) for n, p in cells for u in us]))
         for n in np.unique(n_arr).tolist():
             on = n_arr == n
-            got = _inversion_counts(u_arr[on], p_arr[on], n)
+            got = _inversion_counts(scripted([[u, *then] for u in u_arr[on]]), p_arr[on], n)
             for g, p, u in zip(got.tolist(), p_arr[on].tolist(), u_arr[on].tolist()):
-                x, closest = binomial_inversion(n, p, u)
-                assert g == (x if x is not None and closest > _MARGIN else -1), (n, p, u)
-        assert np.any(_inversion_counts(us, np.full(us.size, 0.3), 60) > 20)
+                x, closest = binomial_inversion(n, p, iter([u, *then]))
+                assert g == (x if closest > _MARGIN else -1), (n, p, u)
+        assert np.any(_inversion_counts(scripted([[u] for u in us]), np.full(us.size, 0.3), 60) > 20)
 
     def test_u_equal_to_px_goes_to_numpy(self):
         n, p = 10, np.array([0.1, 0.1])
         qn = np.exp(n * np.log(1.0 - p))
-        got = _inversion_counts(np.array([qn[0], 0.5]), p, n)
-        assert got[0] == -1 and got[1] == binomial_inversion(n, 0.1, 0.5)[0]
+        got = _inversion_counts(scripted([[qn[0]], [0.5]]), p, n)
+        assert got[0] == -1 and got[1] == binomial_inversion(n, 0.1, iter([0.5]))[0]
 
-    def test_u_past_the_bound_goes_to_numpy(self):
+    def test_u_past_the_bound_draws_again(self):
         # a hand-made U above 1 outlasts every px up to the bound n = 2, each
-        # comparison clear of the margin: the C loop would draw again
-        x, closest = binomial_inversion(2, 0.5, 1.5)
-        assert x is None and closest > _MARGIN
-        assert _inversion_counts(np.array([1.5, 0.3]), np.array([0.5, 0.5]), 2).tolist() == [-1, 1]
+        # comparison clear of the margin: the C loop draws a second U
+        x, closest = binomial_inversion(2, 0.5, iter([1.5, 0.3]))
+        assert closest > _MARGIN and x == binomial_inversion(2, 0.5, iter([0.3]))[0] == 1
+        streams = [[1.5, 0.3], [0.3]]
+        got = _inversion_counts(scripted(streams), np.array([0.5, 0.5]), 2)
+        assert got.tolist() == [1, 1]
 
-    def test_benchmark_grid_builds_a_generator_for_btpe_cells_only(self, monkeypatch):
+    def test_x_at_a_bound_within_the_margin_goes_to_numpy(self):
+        # p puts the bound's argument ex = n p + 10 sqrt(n p q + 1) within the
+        # margin of 15, and a hand-made U above 1 carries X there
+        n, lo, hi = 60, 0.001, 0.1
+        for _ in range(100):
+            mid = (lo + hi) / 2
+            npq = n * mid
+            lo, hi = (mid, hi) if npq + 10.0 * math.sqrt(npq * (1.0 - mid) + 1) < 15 else (lo, mid)
+        for p in (lo, hi):  # ex just below 15 and at or just above it
+            x, closest = binomial_inversion(n, p, iter([1.5, 0.5]))
+            assert closest < _MARGIN
+            assert _inversion_counts(scripted([[1.5]]), np.array([p]), n).tolist() == [-1]
+
+    def test_benchmark_grid_builds_no_generator(self, monkeypatch):
         spec = GridSpec(-0.62, 0.63, -0.80, 0.82, 100, 100, "K")
         grid = scan(KickedProbabilityEvaluator(7, 7), spec)
         built = []
@@ -243,10 +279,96 @@ class TestInversionDraw:
 
         monkeypatch.setattr(np.random, "Generator", Counting)
         n = 5000
-        noisy_scan(grid, n, seed=31)
+        for seed in range(50):
+            noisy_scan(grid, n, seed)
         p = true_probabilities(grid)
         btpe = int(np.sum(np.minimum(p, 1.0 - p) * n > 30.0))
-        assert 0 < len(built) == btpe < p.size // 20
+        assert built == [] and 0 < btpe < p.size // 20
+
+    def test_benchmark_noise_run_leaves_numpy_random_unloaded(self, tmp_path):
+        argv = ["--task", "noise", "--model", "cylinder:7x7", "--plane", "K",
+                "--window=-0.62,0.63,-0.8,0.82", "--res", "100x100", "--shots", "5000",
+                "--seed", "31", "--cut=im=0.375", "--out", str(tmp_path / "noise")]
+        code = ("import sys; from pfzeros.cli import main; "
+                f"code = main({argv!r}); print(code, 'numpy.random' in sys.modules)")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=child_env(), timeout=120)
+        assert proc.returncode == 0 and proc.stdout.split()[-2:] == ["0", "False"], proc.stderr
+
+
+class TestBtpeDraw:
+    """numpy's BTPE sampler run over all cells at once."""
+
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(n=st.integers(6, 53).flatmap(lambda bits: st.integers(max(61, 2**bits // 2), 2**bits - 1)),
+           edge=st.booleans(), ulps=st.integers(1, 2**20),
+           share=st.floats(0.0, 1.0), words=st.lists(st.integers(0, 2**64 - 1), min_size=4, max_size=4))
+    def test_matches_c_transcription(self, n, edge, ulps, share, words):
+        # r just past numpy's n r = 30 branch edge, or anywhere up to 0.5
+        low = np.nextafter(30.0 / n, 1.0)
+        r = low + ulps * np.spacing(low) if edge else low + share * (0.5 - low)
+        r = min(r, 0.5)
+        words = np.array(words, dtype=np.uint64)
+        got = _btpe_counts(partial(_next_double, _seeded(words[None, :])), np.array([r]), n)
+        assert agrees(int(got[0]), binomial_btpe(n, r, stream(words)))
+
+    def test_tails_and_rejections_match_c_transcription(self):
+        # hand-made draws: U near 1 (the right tail), U just past p2 (the left
+        # tail), V from 0 to 1 - 2^-53; every cell ends on U = 0, which accepts
+        tail = [1.0 - 2.0**-53, 0.999, 0.98, 0.9, 0.8]
+        vs = [0.0, 2.0**-53, 1e-9, 0.01, 0.3, 0.7, 1.0 - 2.0**-53]
+        cells = []
+        for n, r in [(61, 0.499), (200, 0.2), (5000, 0.05), (2**52 - 1, 31.5 / 2**52), (10**6, 0.4)]:
+            for d in tail:
+                for v in vs:
+                    cells.append((n, r, [d, v, 0.0, 0.5]))
+        for n in sorted({n for n, _, _ in cells}):
+            mine = [(r, d) for m, r, d in cells if m == n]
+            got = _btpe_counts(scripted([d for _, d in mine]), np.array([r for r, _ in mine]), n)
+            for g, (r, d) in zip(got.tolist(), mine):
+                assert agrees(g, binomial_btpe(n, r, iter(d))), (n, r, d)
+
+    @pytest.mark.parametrize("n, r", [(200, 0.45), (5000, 0.3), (10**6, 0.05)])
+    def test_draws_on_a_verdict_edge_go_to_numpy(self, n, r):
+        # bisect the first attempt's outcome (its count, or that it rejects) to
+        # where it changes: in V from 0 to 1 at fixed U, and in U across the
+        # hat's region ends at fixed V.  There some comparison or floor of the
+        # C run is within the margin, so numpy must draw the cell.
+        def outcome(u, v):
+            doubles = iter([u, v, 0.0, 0.5])
+            return binomial_btpe(n, r, doubles)[0], next(doubles, None)
+
+        def edge(point, lo, hi):
+            if outcome(*point(lo)) == outcome(*point(hi)):
+                return []
+            for _ in range(60):
+                mid = (lo + hi) / 2
+                lo, hi = (mid, hi) if outcome(*point(mid)) == outcome(*point(lo)) else (lo, mid)
+            return [[*point(lo), 0.0, 0.5], [*point(hi), 0.0, 0.5]]
+
+        hat = btpe_hat(n, r)
+        cells = []
+        for t in np.linspace(0.01, 0.99, 40).tolist():
+            cells += edge(lambda v: (t, v), 0.0, 1.0 - 2.0**-53)
+            for end in (hat.p1, hat.p2, hat.p3):
+                cells += edge(lambda u: (u, t), end / hat.p4 * (1 - 1e-6), end / hat.p4 * (1 + 1e-6))
+        refs = [binomial_btpe(n, r, iter(c)) for c in cells]
+        assert len(cells) >= 100 and all(closest < _MARGIN for _, closest in refs)
+        got = _btpe_counts(scripted(cells), np.full(len(cells), r), n)
+        for g, ref, c in zip(got.tolist(), refs, cells):
+            assert agrees(g, ref), c
+
+    @pytest.mark.parametrize("n", [61, 1000, 5000, 10**5, 10**6, 10**9, 2**40, 2**52])
+    def test_cells_equal_default_rng(self, monkeypatch, n):
+        # BTPE cells on both sides of p = 0.5; past 2^40 shots most take numpy's draw
+        low = 30.0 / n
+        p = np.random.default_rng(n).uniform(low, 1.0 - low, (8, 8))
+        p[0, :2] = 0.5, np.nextafter(1.0 - low, 0.0)
+        monkeypatch.setattr("pfzeros.noise.true_probabilities", lambda grid: p)
+        grid = ScanGrid(GridSpec(-1, 1, -1, 1, 8, 8), np.zeros(p.shape))
+        expected = np.array([[np.random.default_rng((5, iy, ix)).binomial(n, p[iy, ix]) / n
+                              for ix in range(8)] for iy in range(8)])
+        assert noisy_scan(grid, n, 5).estimates.tobytes() == expected.tobytes()
 
 
 class TestErrorStats:

@@ -245,6 +245,14 @@ class TestInclusionDiscs:
         assert np.all(np.isfinite(radii))
         assert discs_disjoint(roots, radii)
 
+    def test_radii_follow_their_roots_bit_for_bit(self):
+        dos = density_of_states(build_cylinder(6, 6, -0.2, -0.2))
+        coeffs = polynomial_coefficients(dos, "fisher", 0j)
+        roots = roots_of_polynomial(coeffs)
+        perm = np.random.default_rng(4).permutation(roots.size)
+        radii = inclusion_radii(coeffs, roots)
+        assert inclusion_radii(coeffs, roots[perm]).tobytes() == radii[perm].tobytes()
+
     def test_exact_roots_have_radius_zero(self):
         # (x+1)^2 (x-1) x^2 (x - 0.5): only the root at 0.5 needs a disc
         c = np.poly1d([1, 1]) ** 2 * np.poly1d([1, -1]) * np.poly1d([1, 0, 0]) * np.poly1d([2, -1])
